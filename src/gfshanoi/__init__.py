@@ -45,7 +45,6 @@ from .smooth import (
     ParameterError,
     Params,
     SmoothTerm,
-    SplitIndexSequence,
     UnsupportedRegimeError,
     constant_p_term,
     smooth_iter,
@@ -74,7 +73,6 @@ __all__ = [
     "PegGraph",
     "ReplayReport",
     "SmoothTerm",
-    "SplitIndexSequence",
     "UnsupportedRegimeError",
     "apply_move",
     "bfs_optimal",

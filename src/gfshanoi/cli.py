@@ -17,7 +17,6 @@ import bisect
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .gfs import GfsTable, gfs_prefix
@@ -33,7 +32,6 @@ from .planfile import ParseError, graph_by_name, parse_graph_spec, parse_plan, s
 from .smooth import (
     ParameterError,
     Params,
-    UnsupportedRegimeError,
     smooth_stream,
     split_indices_up_to,
 )
@@ -54,25 +52,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: Params | None = None
-    ns: tuple[int, int] | None = None
-    count: int | None = None
-    want_splits: bool = False
-    oracle: bool = False
-    fmt: str = "plain"
-    graph_spec: str | None = None
-    n: int | None = None
-    src: int | None = None
-    dst: int | None = None
-    budget: int | None = None
-    plan_file: str | None = None
-    max_n: int | None = None
-    seed: int = DEFAULT_SEED
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -180,35 +159,13 @@ def _resolve_budget(flag: int | None) -> int:
     return value
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    if args.cmd == "compute":
-        return RunConfig("compute", params=Params.from_pairs(args.pq), ns=args.n,
-                         want_splits=args.splits, oracle=args.oracle, fmt=args.format)
-    if args.cmd == "sequence":
-        bases = args.bases
-        return RunConfig("sequence", params=Params(bases, (1,) * len(bases)),
-                         count=args.count, want_splits=args.splits, fmt=args.format)
-    if args.cmd == "plan":
-        return RunConfig("plan", graph_spec=args.graph, n=args.n, src=args.src, dst=args.dst)
-    if args.cmd == "validate":
-        return RunConfig("validate", plan_file=args.file, fmt=args.format)
-    if args.cmd == "bfs":
-        return RunConfig("bfs", graph_spec=args.graph, n=args.n, src=args.src, dst=args.dst,
-                         budget=_resolve_budget(args.budget), fmt=args.format)
-    return RunConfig("verify", max_n=args.max_n, seed=args.seed)
-
-
-def cmd_compute(config: RunConfig) -> int:
-    params = config.params
-    lo, hi = config.ns
+def cmd_compute(args: argparse.Namespace) -> int:
+    params = Params.from_pairs(args.pq)
+    lo, hi = args.n
     prefix = gfs_prefix(params, hi)
-    diffs: dict[int, int] = {}
-    if hi >= 1:
-        for j, term in enumerate(smooth_stream(params.bases, hi), start=1):
-            diffs[j] = params.q * term.value
     splits: dict[int, int] = {}
     source = None
-    if config.want_splits:
+    if args.splits:
         if params.k < 4:
             raise ParameterError("the split column needs at least two P:Q pairs")
         if all(base >= 2 for base in params.bases):
@@ -221,7 +178,7 @@ def cmd_compute(config: RunConfig) -> int:
             table = GfsTable.build(params, hi)
             for n in range(1, hi + 1):
                 splits[n] = table.argmin_split(n)
-    if config.oracle:
+    if args.oracle:
         table = GfsTable.build(params, hi)
         for n in range(hi + 1):
             if table.value(n) != prefix[n]:
@@ -234,17 +191,17 @@ def cmd_compute(config: RunConfig) -> int:
         {
             "n": n,
             "value": str(prefix[n]),
-            "diff": str(diffs[n]) if n in diffs else None,
+            "diff": str(prefix[n] - prefix[n - 1]) if n else None,
             "split": splits.get(n),
             "split_source": source if n in splits else None,
         }
         for n in range(lo, hi + 1)
     ]
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"bases": list(params.bases), "weights": list(params.weights),
                    "k": params.k, "rows": rows}
         print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -269,15 +226,15 @@ def cmd_compute(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sequence(config: RunConfig) -> int:
-    bases = config.params.bases
-    terms = smooth_stream(bases, config.count)
+def cmd_sequence(args: argparse.Namespace) -> int:
+    bases = args.bases
+    terms = smooth_stream(bases, args.count)
     marks: list[int] | None = None
     ordinals: dict[int, int] = {}
-    if config.want_splits:
-        marks = split_indices_up_to(bases, config.count)
+    if args.splits:
+        marks = split_indices_up_to(bases, args.count)
         ordinals = {m: i for i, m in enumerate(marks, start=1)}
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "bases": list(bases),
             "terms": [
@@ -287,7 +244,7 @@ def cmd_sequence(config: RunConfig) -> int:
             "splits": marks,
         }
         print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -305,30 +262,30 @@ def cmd_sequence(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_plan(config: RunConfig) -> int:
-    spec = config.graph_spec.strip()
+def cmd_plan(args: argparse.Namespace) -> int:
+    spec = args.graph.strip()
     if ";" in spec or spec.startswith("edges:"):
         raise ParameterError("planning supports only the named graphs K<k>, P3, and S<leaves>")
     graph = graph_by_name(spec)
     if spec == "P3":
-        plan = plan_path3(config.n, config.src, config.dst)
+        plan = plan_path3(args.n, args.src, args.dst)
     elif spec.startswith("K"):
-        plan = plan_complete(graph.pegs, config.n, config.src, config.dst)
+        plan = plan_complete(graph.pegs, args.n, args.src, args.dst)
     else:
-        plan = plan_star(graph.pegs - 1, config.n, config.src, config.dst)
+        plan = plan_star(graph.pegs - 1, args.n, args.src, args.dst)
     sys.stdout.write(serialize_plan(plan))
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
-    if config.plan_file in (None, "-"):
+def cmd_validate(args: argparse.Namespace) -> int:
+    if args.file in (None, "-"):
         text = sys.stdin.read()
     else:
-        text = Path(config.plan_file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8")
     from .hanoi import validate_plan
 
     report = validate_plan(parse_plan(text))
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "ok": report.ok,
             "moves_applied": report.moves_applied,
@@ -344,20 +301,21 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_bfs(config: RunConfig) -> int:
-    graph = parse_graph_spec(config.graph_spec)
-    moves = bfs_optimal(graph, config.n, config.src, config.dst, config.budget)
-    if config.fmt == "json":
-        payload = {"graph": graph.name, "n": config.n, "src": config.src,
-                   "dst": config.dst, "moves": str(moves)}
+def cmd_bfs(args: argparse.Namespace) -> int:
+    budget = _resolve_budget(args.budget)
+    graph = parse_graph_spec(args.graph)
+    moves = bfs_optimal(graph, args.n, args.src, args.dst, budget)
+    if args.format == "json":
+        payload = {"graph": graph.name, "n": args.n, "src": args.src,
+                   "dst": args.dst, "moves": str(moves)}
         print(json.dumps(payload, indent=2))
     else:
         print(moves)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = run_suite(max_n=config.max_n, seed=config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_suite(max_n=args.max_n, seed=args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
@@ -379,21 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _make_config(args)
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.cmd](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ParameterError, UnsupportedRegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ParameterError, UnsupportedRegimeError and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,9 +28,22 @@ from .smooth import (
     ParameterError,
     Params,
     UnsupportedRegimeError,
+    _binomial_level,
     smooth_iter,
-    split_index_iter,
+    split_indices_up_to,
 )
+
+
+def _split_scan(p: int, q: int, row: list[int], below: list[int], n: int) -> tuple[int, int]:
+    """Min over 1 <= t <= n of ``p * row[n-t] + q * below[t]``, and the
+    smallest t attaining it."""
+    best_t = 1
+    best = p * row[n - 1] + q * below[1]
+    for t in range(2, n + 1):
+        cand = p * row[n - t] + q * below[t]
+        if cand < best:
+            best, best_t = cand, t
+    return best, best_t
 
 
 @dataclass
@@ -59,12 +72,7 @@ class GfsTable:
             below = rows[i - 1]
             row = [0] * (n_max + 1)
             for n in range(1, n_max + 1):
-                best = p * row[n - 1] + q * below[1]
-                for t in range(2, n + 1):
-                    cand = p * row[n - t] + q * below[t]
-                    if cand < best:
-                        best = cand
-                row[n] = best
+                row[n] = _split_scan(p, q, row, below, n)[0]
             rows[i] = row
         return cls(params, n_max, rows)
 
@@ -80,14 +88,7 @@ class GfsTable:
         if not 1 <= n <= self.n_max:
             raise ParameterError("n out of table range")
         p, q = self.params.bases[i - 3], self.params.weights[i - 3]
-        row, below = self.rows[i], self.rows[i - 1]
-        best_t = 1
-        best = p * row[n - 1] + q * below[1]
-        for t in range(2, n + 1):
-            cand = p * row[n - t] + q * below[t]
-            if cand < best:
-                best, best_t = cand, t
-        return best_t
+        return _split_scan(p, q, self.rows[i], self.rows[i - 1], n)[1]
 
 
 def gfs_oracle(params: Params, n: int) -> int:
@@ -112,8 +113,6 @@ def gfs_fast(params: Params, n: int) -> int:
     """G_k(n) as the weight product times the n-term stream prefix sum."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if n == 0:
-        return 0
     acc = 0
     for term in islice(smooth_iter(params.bases), n):
         acc += term.value
@@ -141,12 +140,7 @@ def optimal_split(params: Params, n: int) -> int:
         raise UnsupportedRegimeError("split points need every base >= 2")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    j = 0
-    for index in split_index_iter(params.bases):
-        if index > n:
-            break
-        j += 1
-    return j
+    return len(split_indices_up_to(params.bases, n))
 
 
 def constant_case_closed_form(p: int, k: int, n: int) -> int:
@@ -164,9 +158,7 @@ def constant_case_closed_form(p: int, k: int, n: int) -> int:
         raise ParameterError("n must be nonnegative")
     if n == 0:
         return 0
-    j = 0
-    while comb(k + j - 2, k - 2) < n:
-        j += 1
+    j = _binomial_level(k, n)
     head = sum(comb(k + m - 3, k - 3) * p**m for m in range(j))
     return head + (n - comb(k + j - 3, k - 2)) * p**j
 

@@ -169,6 +169,56 @@ def _check_peg(graph: PegGraph, label: int, role: str) -> None:
         raise ParameterError(f"{role} peg {label} is not a vertex of {graph.name}")
 
 
+def _check_endpoints(graph: PegGraph, n: int, src: int, dst: int, leaves=None) -> None:
+    """Planner arguments: distinct endpoints (leaves of a star), n >= 0."""
+    for role, peg in (("source", src), ("destination", dst)):
+        if leaves is None:
+            _check_peg(graph, peg, role)
+        elif peg not in leaves:
+            raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
+    if src == dst:
+        raise ParameterError("source and destination pegs must differ")
+    if n < 0:
+        raise ParameterError("disk count must be nonnegative")
+
+
+def _classic3(m: int, a: int, b: int, spare: int, out: list[Move]) -> None:
+    if m == 0:
+        return
+    _classic3(m - 1, a, spare, b, out)
+    out.append(Move(a, b))
+    _classic3(m - 1, spare, b, a, out)
+
+
+def _split_moves(pegs, n: int, src: int, dst: int, family, base, choose_park) -> list[Move]:
+    """Park / cross / unpark on ``pegs``, realizing ``family(len(pegs))``.
+
+    The park peg is ``choose_park(spares)``; each (width, m) split is fetched
+    once per plan.  On three pegs ``base(m, a, b, spare, out)`` moves the pile.
+    """
+    moves: list[Move] = []
+    splits: dict[tuple[int, int], int] = {}
+
+    def transfer(pegs: tuple[int, ...], m: int, a: int, b: int) -> None:
+        if m == 0:
+            return
+        spares = [p for p in pegs if p not in (a, b)]
+        if len(pegs) == 3:
+            base(m, a, b, spares[0], moves)
+            return
+        key = (len(pegs), m)
+        if key not in splits:
+            splits[key] = optimal_split(family(len(pegs)), m)
+        t = splits[key]
+        park = choose_park(spares)
+        transfer(pegs, m - t, a, park)
+        transfer(tuple(p for p in pegs if p != park), t, a, b)
+        transfer(pegs, m - t, park, b)
+
+    transfer(pegs, n, src, dst)
+    return moves
+
+
 def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     """Plan on K_k realizing the classic split recursion, S_k(n) moves.
 
@@ -179,35 +229,8 @@ def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     if k < 3:
         raise ParameterError("complete-graph planning needs k >= 3")
     graph = PegGraph.complete(k)
-    _check_peg(graph, src, "source")
-    _check_peg(graph, dst, "destination")
-    if src == dst:
-        raise ParameterError("source and destination pegs must differ")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
-    moves: list[Move] = []
-
-    def classic3(m: int, a: int, b: int, spare: int) -> None:
-        if m == 0:
-            return
-        classic3(m - 1, a, spare, b)
-        moves.append(Move(a, b))
-        classic3(m - 1, spare, b, a)
-
-    def transfer(pegs: tuple[int, ...], m: int, a: int, b: int) -> None:
-        if m == 0:
-            return
-        if len(pegs) == 3:
-            spare = next(p for p in pegs if p not in (a, b))
-            classic3(m, a, b, spare)
-            return
-        t = optimal_split(classic_params(len(pegs)), m)
-        park = min(p for p in pegs if p not in (a, b))
-        transfer(pegs, m - t, a, park)
-        transfer(tuple(p for p in pegs if p != park), t, a, b)
-        transfer(pegs, m - t, park, b)
-
-    transfer(tuple(range(1, k + 1)), n, src, dst)
+    _check_endpoints(graph, n, src, dst)
+    moves = _split_moves(tuple(range(1, k + 1)), n, src, dst, classic_params, _classic3, min)
     return MovePlan(graph, n, src, dst, moves, gfs_fast(classic_params(k), n))
 
 
@@ -239,19 +262,11 @@ def _path_transfer(n: int, frm: int, to: int, triple: tuple[int, int, int], out:
 def plan_path3(n: int, src: int, dst: int) -> MovePlan:
     """Plan on the path 1 - 2 - 3 for any distinct source and destination."""
     graph = PegGraph.path3()
-    _check_peg(graph, src, "source")
-    _check_peg(graph, dst, "destination")
-    if src == dst:
-        raise ParameterError("source and destination pegs must differ")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
+    _check_endpoints(graph, n, src, dst)
     moves: list[Move] = []
     _path_transfer(n, src, dst, (1, 2, 3), moves)
-    if 2 in (src, dst):
-        predicted = gfs_fast(Params((3,), (1,)), n)
-    else:
-        predicted = gfs_fast(Params((3,), (2,)), n)
-    return MovePlan(graph, n, src, dst, moves, predicted)
+    weight = 1 if 2 in (src, dst) else 2  # a middle endpoint halves the cost
+    return MovePlan(graph, n, src, dst, moves, gfs_fast(Params((3,), (weight,)), n))
 
 
 def star_params(leaves: int) -> Params:
@@ -274,29 +289,13 @@ def plan_star(k: int, n: int, src: int, dst: int) -> MovePlan:
     if k < 2:
         raise ParameterError("star planning needs at least two leaves")
     graph = PegGraph.star(k)
-    leaves = tuple(range(2, k + 2))
-    for role, peg in (("source", src), ("destination", dst)):
-        if peg not in leaves:
-            raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
-    if src == dst:
-        raise ParameterError("source and destination leaves must differ")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
-    moves: list[Move] = []
-
-    def transfer(leafset: tuple[int, ...], m: int, a: int, b: int) -> None:
-        if m == 0:
-            return
-        if len(leafset) == 2:
-            _path_transfer(m, a, b, (a, 1, b), moves)
-            return
-        t = optimal_split(star_params(len(leafset)), m)
-        spare = max(leaf for leaf in leafset if leaf not in (a, b))
-        transfer(leafset, m - t, a, spare)
-        transfer(tuple(leaf for leaf in leafset if leaf != spare), t, a, b)
-        transfer(leafset, m - t, spare, b)
-
-    transfer(leaves, n, src, dst)
+    pegs = tuple(range(1, k + 2))
+    _check_endpoints(graph, n, src, dst, leaves=pegs[1:])
+    # The center is never the highest-numbered spare while a leaf is spare.
+    moves = _split_moves(
+        pegs, n, src, dst, lambda width: star_params(width - 1),
+        lambda m, a, b, center, out: _path_transfer(m, a, b, (a, center, b), out), max,
+    )
     return MovePlan(graph, n, src, dst, moves, gfs_fast(star_params(k), n))
 
 
@@ -378,14 +377,11 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
                 False, index, plan.predicted_length, index,
                 f"move {index} ({move.from_peg}>{move.to_peg}): {exc.code}: {exc}", state,
             )
+    failure = None
     if any(peg != plan.dst for peg in state):
-        return ReplayReport(
-            False, len(plan.moves), plan.predicted_length, None,
-            f"final position is not all on peg {plan.dst}", state,
-        )
-    if len(plan.moves) != plan.predicted_length:
-        return ReplayReport(
-            False, len(plan.moves), plan.predicted_length, None,
-            f"{len(plan.moves)} moves but the plan predicts {plan.predicted_length}", state,
-        )
-    return ReplayReport(True, len(plan.moves), plan.predicted_length, None, None, state)
+        failure = f"final position is not all on peg {plan.dst}"
+    elif len(plan.moves) != plan.predicted_length:
+        failure = f"{len(plan.moves)} moves but the plan predicts {plan.predicted_length}"
+    return ReplayReport(
+        failure is None, len(plan.moves), plan.predicted_length, None, failure, state
+    )

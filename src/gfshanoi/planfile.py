@@ -22,9 +22,11 @@ from .hanoi import Move, MovePlan, PegGraph
 
 HEADER_MAGIC = "hanoi-plan v1"
 _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
-_MOVE_RE = re.compile(r"^(\d+)>(\d+)$")
-_NAMED_RE = re.compile(r"^(P3|K(\d+)|S(\d+))$")
-_EDGE_LIST_RE = re.compile(r"^edges:(\d+-\d+(?:,\d+-\d+)*)$")
+# ASCII digits only: str.isdigit takes "²", which int() rejects; int() takes "٣".
+_MOVE_RE = re.compile(r"^([0-9]+)>([0-9]+)$")
+_NAMED_RE = re.compile(r"^(P3|K([0-9]+)|S([0-9]+))$")
+_EDGE_LIST_RE = re.compile(r"^edges:([0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)$")
+_DECIMAL_RE = re.compile(r"[0-9]+")
 
 
 class ParseError(ValueError):
@@ -55,23 +57,23 @@ def parse_graph_spec(text: str) -> PegGraph:
         pegs = int(head.strip())
     except ValueError:
         raise ParseError(f"bad peg count {head.strip()!r}") from None
-    pairs = _parse_edge_pairs(tail.strip())
-    try:
-        return PegGraph.from_edges(pegs, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _edge_graph(pegs, tail.strip())
 
 
-def _parse_edge_pairs(text: str) -> list[tuple[int, int]]:
+def _edge_graph(pegs: int, text: str) -> PegGraph:
+    """Simple connected graph on ``pegs`` pegs from ``"u-v,u-v,..."``, else ParseError."""
     if not text:
         raise ParseError("empty edge list")
     pairs = []
     for chunk in text.split(","):
         u, dash, v = chunk.strip().partition("-")
-        if not dash or not u.isdigit() or not v.isdigit():
+        if not dash or not _DECIMAL_RE.fullmatch(u) or not _DECIMAL_RE.fullmatch(v):
             raise ParseError(f"bad edge {chunk.strip()!r}")
         pairs.append((int(u), int(v)))
-    return pairs
+    try:
+        return PegGraph.from_edges(pegs, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def serialize_plan(plan: MovePlan) -> str:
@@ -102,27 +104,22 @@ def parse_plan(text: str) -> MovePlan:
             raise ParseError(f"expected header field {want}=..., got {field!r}")
         values[want] = value
 
-    for key in ("k", "n", "src", "dst", "predicted"):
-        if not values[key].isdigit():
+    for key in _HEADER_KEYS[1:]:
+        if not _DECIMAL_RE.fullmatch(values[key]):
             raise ParseError(f"header field {key}={values[key]!r} is not a decimal integer")
-    pegs = int(values["k"])
-    n = int(values["n"])
-    src = int(values["src"])
-    dst = int(values["dst"])
-    predicted = int(values["predicted"])
+    pegs, n, src, dst, predicted = (int(values[key]) for key in _HEADER_KEYS[1:])
 
     token = values["graph"]
     edge_match = _EDGE_LIST_RE.match(token)
     if edge_match:
-        graph = PegGraph.from_edges(pegs, _parse_edge_pairs(edge_match.group(1)))
+        graph = _edge_graph(pegs, edge_match.group(1))
     else:
         graph = graph_by_name(token)
         if graph.pegs != pegs:
             raise ParseError(f"graph {token} has {graph.pegs} pegs but the header says k={pegs}")
-    if not 1 <= src <= pegs:
-        raise ParseError(f"src={src} is not a peg of {token}")
-    if not 1 <= dst <= pegs:
-        raise ParseError(f"dst={dst} is not a peg of {token}")
+    for key, peg in (("src", src), ("dst", dst)):
+        if not 1 <= peg <= pegs:
+            raise ParseError(f"{key}={peg} is not a peg of {token}")
 
     moves = []
     for lineno, line in enumerate(lines[1:], start=2):

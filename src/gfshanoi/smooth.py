@@ -13,8 +13,9 @@ The index origin is 3 throughout: the first base/weight pair belongs to the
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -133,22 +134,23 @@ def _merge_iter(bases: tuple[int, ...]) -> Iterator[SmoothTerm]:
     sub = _merge_iter(bases[:-1])
     first = next(sub)
     head = SmoothTerm(first.value, first.exponents + (0,))
-    emitted: list[SmoothTerm] = []  # self-feed buffer for the shifted branch
-    lag = 0  # always < len(emitted) once anything is out
+    # Emitted terms whose p-multiple is not out yet: the shifted branch
+    # feeds on its own output, and only this window is ever read again.
+    pending: deque[SmoothTerm] = deque()
     while True:
-        if emitted:
-            seed = emitted[lag]
-            shifted = SmoothTerm(
-                seed.value * p,
-                seed.exponents[:-1] + (seed.exponents[-1] + 1,),
-            )
-            if shifted.sort_key() < head.sort_key():
-                yield shifted
-                emitted.append(shifted)
-                lag += 1
-                continue
+        if pending:
+            seed = pending[0]
+            value = seed.value * p
+            if value <= head.value:
+                exponents = seed.exponents[:-1] + (seed.exponents[-1] + 1,)
+                if value < head.value or exponents < head.exponents:
+                    shifted = SmoothTerm(value, exponents)
+                    yield shifted
+                    pending.popleft()
+                    pending.append(shifted)
+                    continue
         yield head
-        emitted.append(head)
+        pending.append(head)
         nxt = next(sub)
         head = SmoothTerm(nxt.value, nxt.exponents + (0,))
 
@@ -158,23 +160,6 @@ def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
     if count < 0:
         raise ParameterError("count must be nonnegative")
     return list(islice(smooth_iter(bases), count))
-
-
-@dataclass(frozen=True)
-class SplitIndexSequence:
-    """Positions where the shorter-base stream's values surface in the full one."""
-
-    bases: tuple[int, ...]
-    indices: tuple[int, ...]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, item: int) -> int:
-        return self.indices[item]
 
 
 def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
@@ -205,12 +190,11 @@ def _split_iter(bases: tuple[int, ...]) -> Iterator[int]:
                 break
 
 
-def split_indices(bases: Sequence[int], count: int) -> SplitIndexSequence:
+def split_indices(bases: Sequence[int], count: int) -> tuple[int, ...]:
     """The first ``count`` split indices (see ``split_index_iter``)."""
     if count < 0:
         raise ParameterError("count must be nonnegative")
-    checked = _check_bases(bases)
-    return SplitIndexSequence(checked, tuple(islice(split_index_iter(checked), count)))
+    return tuple(islice(split_index_iter(bases), count))
 
 
 def split_indices_up_to(bases: Sequence[int], limit: int) -> list[int]:
@@ -221,12 +205,15 @@ def split_indices_up_to(bases: Sequence[int], limit: int) -> list[int]:
     """
     if limit < 0:
         raise ParameterError("limit must be nonnegative")
-    out: list[int] = []
-    for index in split_index_iter(bases):
-        if index > limit:
-            break
-        out.append(index)
-    return out
+    return list(takewhile(lambda index: index <= limit, split_index_iter(bases)))
+
+
+def _binomial_level(k: int, n: int) -> int:
+    """The unique j >= 0 with ``C(k+j-3, k-2) < n <= C(k+j-2, k-2)``, n >= 1."""
+    j = 0
+    while comb(k + j - 2, k - 2) < n:
+        j += 1
+    return j
 
 
 def constant_p_term(p: int, k: int, n: int) -> int:
@@ -242,9 +229,4 @@ def constant_p_term(p: int, k: int, n: int) -> int:
         raise ParameterError("peg count must be at least 3")
     if n < 1:
         raise ParameterError("position must be >= 1")
-    if p == 1:
-        return 1
-    j = 0
-    while comb(k + j - 2, k - 2) < n:
-        j += 1
-    return p ** j
+    return p ** _binomial_level(k, n)

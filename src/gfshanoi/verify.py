@@ -9,10 +9,11 @@ subcommand is a thin wrapper.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .gfs import (
     GfsTable,
@@ -137,7 +138,7 @@ def check_split_identity(rng: random.Random, cap) -> CheckResult:
         marks = split_indices_up_to(params.bases, n_max)
         for n in range(1, n_max + 1):
             result.instances += 1
-            j = _interval_ordinal(marks, n)
+            j = bisect.bisect_right(marks, n)
             at_j = p * top[n - j] + q * sub[j]
             scan = min(p * top[n - t] + q * sub[t] for t in range(1, n + 1))
             if not (at_j == scan == top[n]):
@@ -146,13 +147,6 @@ def check_split_identity(rng: random.Random, cap) -> CheckResult:
                     at_split=str(at_j), scan_min=str(scan), value=str(top[n]),
                 )
     return result
-
-
-def _interval_ordinal(marks: list[int], n: int) -> int:
-    """Largest j with marks[j-1] <= n (marks is 1-based split indices)."""
-    import bisect
-
-    return bisect.bisect_right(marks, n)
 
 
 def check_plan_replays(rng: random.Random, cap) -> CheckResult:
@@ -186,10 +180,7 @@ def check_bfs_oracle(rng: random.Random, cap) -> CheckResult:
     def compare(plan, exact: bool) -> bool:
         result.instances += 1
         best = bfs_optimal(plan.graph, plan.n, plan.src, plan.dst)
-        if exact and len(plan.moves) != best:
-            result.fail(graph=plan.graph.name, n=plan.n, src=plan.src, dst=plan.dst,
-                        plan=len(plan.moves), bfs=best)
-        elif len(plan.moves) < best:
+        if len(plan.moves) < best or (exact and len(plan.moves) != best):
             result.fail(graph=plan.graph.name, n=plan.n, src=plan.src, dst=plan.dst,
                         plan=len(plan.moves), bfs=best)
         return len(plan.moves) == best
@@ -249,14 +240,5 @@ def run_suite(max_n: int | None = None, seed: int = DEFAULT_SEED) -> dict:
             ok = False
         if result.instances == 0:
             warnings.append(f"{result.name}: zero instances checked")
-        checks.append(
-            {
-                "name": result.name,
-                "instances": result.instances,
-                "failures": result.failures,
-                "first_failure": result.first_failure,
-                "notes": result.notes,
-                "elapsed_ms": elapsed_ms,
-            }
-        )
+        checks.append({**asdict(result), "elapsed_ms": elapsed_ms})
     return {"ok": ok, "seed": seed, "max_n": max_n, "checks": checks, "warnings": warnings}

@@ -203,6 +203,26 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("source", [
+    "hanoi-plan v1; graph=K3; k=3; n=²; src=1; dst=3; predicted=0\n".encode(),
+    "hanoi-plan v1; graph=K3; k=3; n=0; src=1; dst=3; predicted=²\n".encode(),
+    b"hanoi-plan v1; graph=edges:1-2,1-2; k=2; n=1; src=1; dst=2; predicted=1\n1>2\n",
+    b"hanoi-plan v1; graph=edges:1-2; k=3; n=1; src=1; dst=2; predicted=1\n1>2\n",
+    b"hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>3\n\xff\n",
+    "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>٣\n".encode(),
+    ("bfs", "--graph", "3; 1-²,2-3", "--n", "1", "--src", "1", "--dst", "3"),
+], ids=["n-superscript", "predicted-superscript", "duplicate-edge", "disconnected",
+        "not-utf8", "move-arabic-indic-digit", "bfs-edge-superscript"])
+def test_malformed_input_exits_4(tmp_path, capsys, source):
+    if isinstance(source, bytes):
+        path = tmp_path / "bad.plan"
+        path.write_bytes(source)
+        source = ("validate", str(path))
+    code, _, err = run(capsys, *source)
+    assert code == 4
+    assert err.startswith("error: ")
+
+
 def test_plan_rejects_custom_graphs(capsys):
     code, _, err = run(capsys, "plan", "--graph", "4; 1-2,2-3,3-4",
                        "--n", "2", "--src", "1", "--dst", "4")

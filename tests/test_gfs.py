@@ -1,5 +1,6 @@
 """Unit tests for the number computations: oracle, fast route, splits."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -162,3 +163,15 @@ def test_domain_errors():
         optimal_split(classic_params(4), 0)
     with pytest.raises(ParameterError):
         constant_case_closed_form(2, 3, -1)
+
+
+def test_fast_route_memory_is_bounded():
+    # The stream keeps only terms whose p-multiple is still to come, not
+    # every term it has emitted.
+    tracemalloc.start()
+    try:
+        gfs_fast(classic_params(4), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

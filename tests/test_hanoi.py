@@ -1,5 +1,7 @@
 """Unit tests for the puzzle engine, planners, search, and replay."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from gfshanoi.hanoi import (
     top_disk,
     validate_plan,
 )
+from gfshanoi.planfile import serialize_plan
 from gfshanoi.smooth import ParameterError
 
 
@@ -240,3 +243,20 @@ def test_validate_empty_plan():
     graph = PegGraph.complete(3)
     assert validate_plan(MovePlan(graph, 0, 1, 3, [], 0)).ok
     assert not validate_plan(MovePlan(graph, 1, 1, 3, [], 0)).ok
+
+
+def test_plan_bytes_are_pinned():
+    # Lengths and legality leave the move order free; this digest pins it,
+    # so a change of park peg or split shows up here.
+    digest = hashlib.sha256()
+    for k in range(4, 8):
+        for n in range(31):
+            for src, dst in ((1, k), (k, 2)):
+                digest.update(serialize_plan(plan_complete(k, n, src, dst)).encode())
+    for leaves in range(3, 6):
+        for n in range(21):
+            for src, dst in ((2, leaves + 1), (leaves + 1, 3)):
+                digest.update(serialize_plan(plan_star(leaves, n, src, dst)).encode())
+    assert digest.hexdigest() == (
+        "b5ea5f685b3714baaa1400e7592ba4039ba1fcd9d5cb41b1c8efc55b6be24588"
+    )
