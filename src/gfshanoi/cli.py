@@ -27,11 +27,14 @@ from .hanoi import (
     plan_complete,
     plan_path3,
     plan_star,
+    validate_plan,
 )
-from .planfile import ParseError, graph_by_name, parse_graph_spec, parse_plan, serialize_plan
+from .planfile import (ParseError, _decimal, graph_by_name, parse_graph_spec, parse_plan,
+                       serialize_plan)
 from .smooth import (
     ParameterError,
     Params,
+    UnsupportedRegimeError,
     smooth_stream,
     split_indices_up_to,
 )
@@ -54,44 +57,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_pq(text: str) -> tuple[int, int]:
-    p, colon, q = text.partition(":")
-    if not colon or not p.isdigit() or not q.isdigit() or int(p) < 1 or int(q) < 1:
-        raise argparse.ArgumentTypeError(f"expected P:Q with positive integers, got {text!r}")
-    return (int(p), int(q))
+def _arg_type(parse, expected: str):
+    """An argparse ``type`` that reports any ValueError of ``parse`` as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return convert
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            a, _, b = text.partition("..")
-            lo, hi = int(a), int(b)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"need 0 <= A <= B, got {text!r}")
+def _pq(text: str) -> tuple[int, int]:
+    p, _, q = text.partition(":")
+    pair = (_decimal(p), _decimal(q))
+    if min(pair) < 1:
+        raise ValueError(text)
+    return pair
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    a, dots, b = text.partition("..")
+    lo, hi = _decimal(a), _decimal(b if dots else a)
+    if hi < lo:
+        raise ValueError(text)
     return (lo, hi)
 
 
-def _parse_bases(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(chunk) for chunk in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+_parse_pq = _arg_type(_pq, "P:Q with positive integers")
+_parse_n_range = _arg_type(_n_range, "N or A..B with A <= B")
+_parse_bases = _arg_type(lambda text: tuple(map(_decimal, text.split(","))),
+                         "comma-separated integers")
+_nonneg_int = _arg_type(_decimal, "a nonnegative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,22 +162,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
     lo, hi = args.n
     prefix = gfs_prefix(params, hi)
     splits: dict[int, int] = {}
-    source = None
+    source = table = None
     if args.splits:
         if params.k < 4:
             raise ParameterError("the split column needs at least two P:Q pairs")
-        if all(base >= 2 for base in params.bases):
-            source = "split-indices"
-            marks = split_indices_up_to(params.bases, hi) if hi else []
-            for n in range(1, hi + 1):
-                splits[n] = bisect.bisect_right(marks, n)
-        else:
+        try:
+            marks = split_indices_up_to(params.bases, hi)
+        except UnsupportedRegimeError:  # some base is 1
             source = "oracle-argmin"
             table = GfsTable.build(params, hi)
-            for n in range(1, hi + 1):
-                splits[n] = table.argmin_split(n)
+            splits = {n: table.argmin_split(n) for n in range(1, hi + 1)}
+        else:
+            source = "split-indices"
+            splits = {n: bisect.bisect_right(marks, n) for n in range(1, hi + 1)}
     if args.oracle:
-        table = GfsTable.build(params, hi)
+        table = table or GfsTable.build(params, hi)
         for n in range(hi + 1):
             if table.value(n) != prefix[n]:
                 print(f"oracle: mismatch at n={n}: recurrence={table.value(n)} "
@@ -282,8 +279,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         text = sys.stdin.read()
     else:
         text = Path(args.file).read_text(encoding="utf-8")
-    from .hanoi import validate_plan
-
     report = validate_plan(parse_plan(text))
     if args.format == "json":
         payload = {

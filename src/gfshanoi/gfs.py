@@ -27,7 +27,6 @@ from math import comb
 from .smooth import (
     ParameterError,
     Params,
-    UnsupportedRegimeError,
     _binomial_level,
     smooth_iter,
     split_indices_up_to,
@@ -130,14 +129,10 @@ def gfs_diff(params: Params, n: int) -> int:
 def optimal_split(params: Params, n: int) -> int:
     """A split point t attaining the level-k minimum at n.
 
-    Returns the j with k_j <= n < k_{j+1} in the split-index sequence.
-    Defined for k >= 4 and every base >= 2; outside that regime use the
-    table's argmin instead.
+    Returns the j with k_j <= n < k_{j+1} in the split-index sequence,
+    which is defined for k >= 4 and every base >= 2 (``split_index_iter``
+    refuses the rest); outside that regime use the table's argmin instead.
     """
-    if params.k < 4:
-        raise ParameterError("no split point exists at the 3-peg base level")
-    if 1 in params.bases:
-        raise UnsupportedRegimeError("split points need every base >= 2")
     if n < 1:
         raise ParameterError("n must be >= 1")
     return len(split_indices_up_to(params.bases, n))

@@ -29,6 +29,17 @@ _EDGE_LIST_RE = re.compile(r"^edges:([0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)$")
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits only, else ValueError.
+
+    ``int`` alone also takes signs, underscores and spaces; every
+    nonnegative integer read from outside goes through this rule.
+    """
+    if not _DECIMAL_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 class ParseError(ValueError):
     """Malformed plan file or graph spec."""
 
@@ -54,7 +65,7 @@ def parse_graph_spec(text: str) -> PegGraph:
         return graph_by_name(text)
     head, _, tail = text.partition(";")
     try:
-        pegs = int(head.strip())
+        pegs = _decimal(head.strip())
     except ValueError:
         raise ParseError(f"bad peg count {head.strip()!r}") from None
     return _edge_graph(pegs, tail.strip())

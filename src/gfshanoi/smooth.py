@@ -13,6 +13,7 @@ The index origin is 3 throughout: the first base/weight pair belongs to the
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, takewhile
@@ -42,10 +43,7 @@ class Params:
     def __post_init__(self) -> None:
         if len(self.bases) != len(self.weights):
             raise ParameterError("bases and weights must pair up")
-        if not self.bases:
-            raise ParameterError("at least one (p, q) pair is required")
-        if any(p < 1 for p in self.bases) or any(q < 1 for q in self.weights):
-            raise ParameterError("every p_i and q_i must be a positive integer")
+        _positive_ints((*self.bases, *self.weights), "the p_i and q_i")
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Params":
@@ -77,12 +75,18 @@ class SmoothTerm:
         return (self.value, self.exponents)
 
 
-def _check_bases(bases: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bases)
-    if not out:
-        raise ParameterError("bases must be nonempty")
-    if any(b < 1 for b in out):
-        raise ParameterError("bases must be positive integers")
+def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ParameterError unless it is nonempty and
+    each entry is an integer >= 1.
+
+    ``operator.index`` refuses floats, where ``int()`` would truncate 2.5 to 2.
+    """
+    try:
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        out = ()
+    if not out or min(out) < 1:
+        raise ParameterError(f"{what} must be a nonempty sequence of positive integers")
     return out
 
 
@@ -93,66 +97,50 @@ def smooth_iter(bases: Sequence[int]) -> Iterator[SmoothTerm]:
     vector appears exactly once.  Each call returns an independent,
     resumable iterator.
     """
-    checked = _check_bases(bases)
-    if 1 in checked:
-        return _ones_iter(checked)
-    return _merge_iter(checked)
-
-
-def _ones_iter(bases: tuple[int, ...]) -> Iterator[SmoothTerm]:
-    # With some p_i == 1 the value-1 class is infinite, so every finite
-    # prefix of the stream is all ones.  The lexicographically least
-    # vectors of that class put the whole exponent on the last unit base.
-    slot = max(i for i, b in enumerate(bases) if b == 1)
-    width = len(bases)
-    m = 0
-    while True:
-        exps = [0] * width
-        exps[slot] = m
-        yield SmoothTerm(1, tuple(exps))
-        m += 1
-
-
-def _power_iter(p: int) -> Iterator[SmoothTerm]:
-    value, m = 1, 0
-    while True:
-        yield SmoothTerm(value, (m,))
-        value *= p
-        m += 1
+    return _merge_iter(_positive_ints(bases, "bases"))
 
 
 def _merge_iter(bases: tuple[int, ...]) -> Iterator[SmoothTerm]:
     # stream(bases) = merge(stream(bases[:-1]) with a trailing 0 exponent,
-    #                       last_base * stream(bases)).
+    #                       last_base * stream(bases)),
+    # and the stream over no bases is the single empty product.
     # Both branches are sorted by (value, vector), so a key-merge keeps the
     # global order; vectors with a zero last exponent come only from the
     # first branch and all others only from the second, hence uniqueness.
-    if len(bases) == 1:
-        yield from _power_iter(bases[0])
+    # A unit last base makes the shifted branch repeat value 1 forever, so
+    # the sub-stream is never read again.  A unit base below it makes the
+    # sub-stream all ones, so no shifted term ever comes out and ``pending``
+    # grows by one term per term emitted.
+    if not bases:
+        yield SmoothTerm(1, ())
         return
     p = bases[-1]
-    sub = _merge_iter(bases[:-1])
-    first = next(sub)
-    head = SmoothTerm(first.value, first.exponents + (0,))
     # Emitted terms whose p-multiple is not out yet: the shifted branch
     # feeds on its own output, and only this window is ever read again.
     pending: deque[SmoothTerm] = deque()
-    while True:
-        if pending:
+    for term in _merge_iter(bases[:-1]):
+        value, exponents = term.value, term.exponents + (0,)
+        while pending:
             seed = pending[0]
-            value = seed.value * p
-            if value <= head.value:
-                exponents = seed.exponents[:-1] + (seed.exponents[-1] + 1,)
-                if value < head.value or exponents < head.exponents:
-                    shifted = SmoothTerm(value, exponents)
-                    yield shifted
-                    pending.popleft()
-                    pending.append(shifted)
-                    continue
+            shifted_value = seed.value * p
+            if shifted_value > value:
+                break
+            shifted_exponents = seed.exponents[:-1] + (seed.exponents[-1] + 1,)
+            if shifted_value == value and shifted_exponents > exponents:
+                break
+            shifted = SmoothTerm(shifted_value, shifted_exponents)
+            yield shifted
+            pending.popleft()
+            pending.append(shifted)
+        head = SmoothTerm(value, exponents)
         yield head
         pending.append(head)
-        nxt = next(sub)
-        head = SmoothTerm(nxt.value, nxt.exponents + (0,))
+    # Only the empty base tuple's stream ends: one base's powers go on alone.
+    while True:
+        seed = pending.popleft()
+        shifted = SmoothTerm(seed.value * p, seed.exponents[:-1] + (seed.exponents[-1] + 1,))
+        yield shifted
+        pending.append(shifted)
 
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
@@ -169,7 +157,7 @@ def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
     full stream's value equals the j-th value of the stream over
     ``bases[:-1]``.  Needs at least two bases, all >= 2.
     """
-    checked = _check_bases(bases)
+    checked = _positive_ints(bases, "bases")
     if len(checked) < 2:
         raise ParameterError("split indices need at least two bases")
     if 1 in checked:

@@ -9,6 +9,7 @@ import pytest
 
 import gfshanoi.cli as cli
 import gfshanoi.verify as verify_mod
+from gfshanoi.gfs import GfsTable
 
 
 def run(capsys, *argv):
@@ -64,6 +65,24 @@ def test_compute_oracle_mismatch_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "compute", "--pq", "2:1", "--n", "0..4", "--oracle")
     assert code == 2
     assert "mismatch" in err
+
+
+def test_compute_builds_one_table(capsys, monkeypatch):
+    # the argmin split column (a unit base) and --oracle share one table
+    calls = []
+    build = GfsTable.build
+
+    def counting_build(params, n_max):
+        calls.append(n_max)
+        return build(params, n_max)
+
+    monkeypatch.setattr(GfsTable, "build", counting_build)
+    code, out, err = run(capsys, "compute", "--pq", "1:1", "--pq", "2:1", "--pq", "2:1",
+                         "--n", "0..40", "--splits", "--oracle")
+    assert code == 0
+    assert "oracle: match (41 checked)" in err
+    assert out.splitlines()[-1].startswith("* split from recurrence argmin")
+    assert calls == [40]
 
 
 def test_compute_json(capsys):
@@ -211,8 +230,11 @@ def test_validate_malformed_file(tmp_path, capsys):
     b"hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>3\n\xff\n",
     "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>٣\n".encode(),
     ("bfs", "--graph", "3; 1-²,2-3", "--n", "1", "--src", "1", "--dst", "3"),
+    ("bfs", "--graph", "٣; 1-2,2-3", "--n", "1", "--src", "1", "--dst", "3"),
+    ("bfs", "--graph", "+3; 1-2,2-3", "--n", "1", "--src", "1", "--dst", "3"),
 ], ids=["n-superscript", "predicted-superscript", "duplicate-edge", "disconnected",
-        "not-utf8", "move-arabic-indic-digit", "bfs-edge-superscript"])
+        "not-utf8", "move-arabic-indic-digit", "bfs-edge-superscript",
+        "bfs-pegs-arabic-indic-digit", "bfs-pegs-signed"])
 def test_malformed_input_exits_4(tmp_path, capsys, source):
     if isinstance(source, bytes):
         path = tmp_path / "bad.plan"
@@ -316,6 +338,18 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--pq", "0:1", "--n", "1")[0] == 1
     assert run(capsys, "compute", "--pq", "2:1", "--n", "-4")[0] == 1
     assert run(capsys, "sequence", "--bases", "2,x", "--count", "3")[0] == 1
+    # every outside integer takes ASCII digits only, with the tool's own message
+    code, _, err = run(capsys, "compute", "--pq", "²:1", "--n", "1")
+    assert code == 1
+    assert "expected P:Q with positive integers, got '²:1'" in err
+    for argv in (("compute", "--pq", "2:1", "--n", "٣"),
+                 ("compute", "--pq", "2:1", "--n", "1_0"),
+                 ("sequence", "--bases", "2,٣", "--count", "3"),
+                 ("sequence", "--bases", "2,3", "--count", "+3"),
+                 ("verify", "--max-n", "٣")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "expected" in err and "invalid" not in err, argv
     assert run(capsys)[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
 

@@ -1,5 +1,7 @@
 """Unit tests for the stream generator and split-index machinery."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,11 +103,13 @@ def test_unit_base_prefixes_are_all_ones():
     # is the lexicographically least enumeration of that class
     assert [(t.value, t.exponents) for t in smooth_stream((2, 1), 4)] == [
         (1, (0, 0)), (1, (0, 1)), (1, (0, 2)), (1, (0, 3))]
-    assert [(t.value, t.exponents) for t in smooth_stream((1, 2), 3)] == [
-        (1, (0, 0)), (1, (1, 0)), (1, (2, 0))]
-    assert [t.exponents for t in smooth_stream((1, 1), 3)] == [(0, 0), (0, 1), (0, 2)]
-    assert [t.exponents for t in smooth_stream((2, 1, 3), 3)] == [
-        (0, 0, 0), (0, 1, 0), (0, 2, 0)]
+    for width in (1, 2, 3):
+        for bases in product((1, 2, 3), repeat=width):
+            if 1 not in bases:
+                continue
+            slot = max(i for i, b in enumerate(bases) if b == 1)
+            want = [(1, tuple(m if i == slot else 0 for i in range(width))) for m in range(40)]
+            assert [(t.value, t.exponents) for t in smooth_stream(bases, 40)] == want, bases
 
 
 def test_split_index_goldens():
@@ -185,6 +189,15 @@ def test_parameter_errors():
         Params((), ())
     with pytest.raises(ParameterError):
         Params((2, 0), (1, 1))
+    # floats are refused, not truncated: 2.5 would give gfs_fast 9 but gfs_oracle 9.5
+    with pytest.raises(ParameterError):
+        Params((2.5, 2), (1, 1))
+    with pytest.raises(ParameterError):
+        Params((2, 2), (1, 1.0))
+    with pytest.raises(ParameterError):
+        smooth_stream((2.5, 2), 3)
+    with pytest.raises(ParameterError):
+        split_indices((2, 3.0), 3)
     with pytest.raises(ParameterError):
         constant_p_term(2, 2, 1)
     with pytest.raises(ParameterError):
