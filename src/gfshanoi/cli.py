@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="write a move plan for a named graph to stdout")
     p.add_argument("--graph", required=True, help="K<k>, P3, or S<leaves>")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--src", type=int, required=True)
-    p.add_argument("--dst", type=int, required=True)
+    p.add_argument("--src", type=_nonneg_int, required=True)
+    p.add_argument("--dst", type=_nonneg_int, required=True)
 
     p = sub.add_parser("validate", help="replay a plan file against the rules")
     p.add_argument("file", nargs="?", default=None, help="plan file (default: stdin)")
@@ -126,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True,
                    help="named graph, or '<pegs>; u-v,u-v,...' for a custom one")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--src", type=int, required=True)
-    p.add_argument("--dst", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--src", type=_nonneg_int, required=True)
+    p.add_argument("--dst", type=_nonneg_int, required=True)
+    p.add_argument("--budget", type=_nonneg_int, default=None,
                    help=f"state-count limit (default {DEFAULT_STATE_BUDGET}, "
                         f"or the {BUDGET_ENV} environment variable)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized cross-check suite")
     p.add_argument("--max-n", type=_nonneg_int, default=None,
                    help="cap instance sizes for a quicker run")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
     return parser
 
 
@@ -149,9 +149,9 @@ def _resolve_budget(flag: int | None) -> int:
     if raw is None:
         return DEFAULT_STATE_BUDGET
     try:
-        value = int(raw)
+        value = _decimal(raw)
     except ValueError:
-        raise ParameterError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
+        raise ParameterError(f"{BUDGET_ENV}={raw!r} is not a nonnegative integer") from None
     if value < 1:
         raise ParameterError(f"{BUDGET_ENV} must be at least 1")
     return value

@@ -238,19 +238,14 @@ def _path_transfer(n: int, frm: int, to: int, triple: tuple[int, int, int], out:
     # Pegs are the fixed triple (left, mid, right); only left-mid and
     # mid-right hops exist.  End-to-end costs 3^n - 1; a transfer that
     # starts or ends on the middle costs (3^n - 1) / 2.
-    left, mid, right = triple
+    mid = triple[1]
     if n == 0 or frm == to:
         return
-    if frm == mid:  # middle -> end
-        other = left if to == right else right
-        _path_transfer(n - 1, mid, other, triple, out)
-        out.append(Move(mid, to))
-        _path_transfer(n - 1, other, to, triple, out)
-    elif to == mid:  # end -> middle
-        other = left if frm == right else right
+    if mid in (frm, to):  # adjacent pegs: the rest wait on the third peg
+        other = sum(triple) - frm - to
         _path_transfer(n - 1, frm, other, triple, out)
-        out.append(Move(frm, mid))
-        _path_transfer(n - 1, other, mid, triple, out)
+        out.append(Move(frm, to))
+        _path_transfer(n - 1, other, to, triple, out)
     else:  # end -> end
         _path_transfer(n - 1, frm, to, triple, out)
         out.append(Move(frm, mid))

@@ -13,12 +13,13 @@ The index origin is 3 throughout: the first base/weight pair belongs to the
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import count, islice, starmap, takewhile
 from math import comb, prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ParameterError(ValueError):
@@ -64,15 +65,14 @@ class Params:
         return Params(self.bases, (1,) * len(self.weights))
 
 
-@dataclass(frozen=True)
-class SmoothTerm:
-    """One stream term; ``value == prod(base ** e for base, e in zip(...))``."""
+class SmoothTerm(NamedTuple):
+    """One stream term, ``value == prod(b ** e for b, e in zip(bases, exponents))``.
+
+    Tuple order is stream order.
+    """
 
     value: int
     exponents: tuple[int, ...]
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.value, self.exponents)
 
 
 def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -93,54 +93,49 @@ def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
 def smooth_iter(bases: Sequence[int]) -> Iterator[SmoothTerm]:
     """Unbounded iterator over the stream for ``bases``.
 
-    Terms arrive sorted by (value, exponent vector) and every exponent
-    vector appears exactly once.  Each call returns an independent,
-    resumable iterator.
+    Terms arrive sorted by (value, exponent vector) and, when every base
+    is >= 2, every exponent vector appears exactly once.  Each call returns
+    an independent, resumable iterator.
     """
-    return _merge_iter(_positive_ints(bases, "bases"))
+    checked = _positive_ints(bases, "bases")
+    if 1 in checked:
+        # A unit base makes the value-1 class infinite, so no other term ever
+        # comes; its least enumeration walks the last unit slot upward.
+        slot = max(i for i, base in enumerate(checked) if base == 1)
+        before, after = (0,) * slot, (0,) * (len(checked) - slot - 1)
+        return (SmoothTerm(1, before + (m,) + after) for m in count())
+    return starmap(SmoothTerm, _merge(checked))
 
 
-def _merge_iter(bases: tuple[int, ...]) -> Iterator[SmoothTerm]:
+def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     # stream(bases) = merge(stream(bases[:-1]) with a trailing 0 exponent,
     #                       last_base * stream(bases)),
-    # and the stream over no bases is the single empty product.
-    # Both branches are sorted by (value, vector), so a key-merge keeps the
-    # global order; vectors with a zero last exponent come only from the
-    # first branch and all others only from the second, hence uniqueness.
-    # A unit last base makes the shifted branch repeat value 1 forever, so
-    # the sub-stream is never read again.  A unit base below it makes the
-    # sub-stream all ones, so no shifted term ever comes out and ``pending``
-    # grows by one term per term emitted.
+    # and the stream over no bases is the single empty product.  Every base
+    # is >= 2.  Vectors with a zero last exponent come only from the first
+    # branch and all others only from the second, so no two (value, vector)
+    # tuples tie and tuple order alone merges the branches.
     if not bases:
-        yield SmoothTerm(1, ())
+        yield (1, ())
         return
     p = bases[-1]
-    # Emitted terms whose p-multiple is not out yet: the shifted branch
-    # feeds on its own output, and only this window is ever read again.
-    pending: deque[SmoothTerm] = deque()
-    for term in _merge_iter(bases[:-1]):
-        value, exponents = term.value, term.exponents + (0,)
-        while pending:
-            seed = pending[0]
-            shifted_value = seed.value * p
-            if shifted_value > value:
-                break
-            shifted_exponents = seed.exponents[:-1] + (seed.exponents[-1] + 1,)
-            if shifted_value == value and shifted_exponents > exponents:
-                break
-            shifted = SmoothTerm(shifted_value, shifted_exponents)
-            yield shifted
-            pending.popleft()
-            pending.append(shifted)
-        head = SmoothTerm(value, exponents)
-        yield head
-        pending.append(head)
-    # Only the empty base tuple's stream ends: one base's powers go on alone.
-    while True:
-        seed = pending.popleft()
-        shifted = SmoothTerm(seed.value * p, seed.exponents[:-1] + (seed.exponents[-1] + 1,))
-        yield shifted
-        pending.append(shifted)
+    sub = ((value, exponents + (0,)) for value, exponents in _merge(bases[:-1]))
+
+    def shifted() -> Iterator[tuple[int, tuple[int, ...]]]:
+        while True:
+            value, exponents = pending.popleft()
+            yield value * p, exponents[:-1] + (exponents[-1] + 1,)
+
+    # ``pending`` holds the emitted terms whose p-multiple is not out yet.
+    # heapq.merge pulls an input's next item only after it has yielded the
+    # previous one, and each term enters ``pending`` before it is yielded, so
+    # shifted() never finds it empty.  When the empty-base level's stream
+    # ends, the merge goes on with shifted() alone.
+    first = next(sub)
+    pending = deque([first])
+    yield first
+    for term in heapq.merge(sub, shifted()):
+        pending.append(term)
+        yield term
 
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
@@ -166,16 +161,16 @@ def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
 
 
 def _split_iter(bases: tuple[int, ...]) -> Iterator[int]:
-    upper = smooth_iter(bases)
-    lower = smooth_iter(bases[:-1])
-    pos = 0
-    while True:
-        target = next(lower).value
-        while True:
-            pos += 1
-            if next(upper).value == target:
-                yield pos
-                break
+    # The stream over bases[:-1] is the full stream's terms with a zero last
+    # exponent, in order, so k_j is the first position of that term's value
+    # run, or k_{j-1} + 1 if that comes later.
+    split = run_start = run_value = 0  # no stream value is 0
+    for pos, (value, exponents) in enumerate(smooth_iter(bases), start=1):
+        if value != run_value:
+            run_value, run_start = value, pos
+        if exponents[-1] == 0:
+            split = max(run_start, split + 1)
+            yield split
 
 
 def split_indices(bases: Sequence[int], count: int) -> tuple[int, ...]:

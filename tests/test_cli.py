@@ -293,10 +293,18 @@ def test_bfs_budget_env(capsys, monkeypatch):
                        "--src", "1", "--dst", "3", "--budget", "100")
     assert code == 0
     assert out == "15\n"
-    monkeypatch.setenv(cli.BUDGET_ENV, "junk")
-    code, _, _ = run(capsys, "bfs", "--graph", "K3", "--n", "1",
-                     "--src", "1", "--dst", "3")
+    for raw in ("junk", "٣"):
+        monkeypatch.setenv(cli.BUDGET_ENV, raw)
+        code, _, err = run(capsys, "bfs", "--graph", "K3", "--n", "1",
+                           "--src", "1", "--dst", "3")
+        assert code == 1, raw
+        assert "not a nonnegative integer" in err, raw
+    # a budget of 0 is read, then refused
+    monkeypatch.setenv(cli.BUDGET_ENV, "0")
+    code, _, err = run(capsys, "bfs", "--graph", "K3", "--n", "1",
+                       "--src", "1", "--dst", "3")
     assert code == 1
+    assert "must be at least 1" in err
 
 
 def test_bfs_bad_graph_spec(capsys):
@@ -346,7 +354,15 @@ def test_usage_errors_exit_1(capsys):
                  ("compute", "--pq", "2:1", "--n", "1_0"),
                  ("sequence", "--bases", "2,٣", "--count", "3"),
                  ("sequence", "--bases", "2,3", "--count", "+3"),
-                 ("verify", "--max-n", "٣")):
+                 ("verify", "--max-n", "٣"),
+                 ("bfs", "--graph", "K3", "--n", "2", "--src", "١", "--dst", "3"),
+                 ("bfs", "--graph", "K3", "--n", "2", "--src", "1", "--dst", "+3"),
+                 ("plan", "--graph", "K3", "--n", "2", "--src", "1", "--dst", "٣"),
+                 ("plan", "--graph", "K3", "--n", "2", "--src", "-1", "--dst", "3"),
+                 ("bfs", "--graph", "K3", "--n", "2", "--src", "1", "--dst", "3",
+                  "--budget", "٩٩"),
+                 ("verify", "--max-n", "1", "--seed", "-5"),
+                 ("verify", "--max-n", "1", "--seed", "٣")):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "expected" in err and "invalid" not in err, argv

@@ -167,11 +167,13 @@ def test_domain_errors():
 
 def test_fast_route_memory_is_bounded():
     # The stream keeps only terms whose p-multiple is still to come, not
-    # every term it has emitted.
-    tracemalloc.start()
-    try:
-        gfs_fast(classic_params(4), 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    # every term it has emitted; a unit base below a larger one never
+    # reaches a p-multiple at all.
+    for params in (classic_params(4), Params((1, 2), (1, 1)), Params((2, 1, 3), (1, 1, 1))):
+        tracemalloc.start()
+        try:
+            gfs_fast(params, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, params

@@ -72,7 +72,7 @@ def test_every_smooth_number_appears_once_up_to_bound():
 @settings(deadline=None)
 def test_stream_sorted_unique_and_consistent(bases, count):
     terms = smooth_stream(bases, count)
-    keys = [t.sort_key() for t in terms]
+    keys = [tuple(t) for t in terms]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     for term in terms:
@@ -118,8 +118,10 @@ def test_split_index_goldens():
 
 
 def test_split_indices_match_definition():
-    for bases in [(2, 2), (2, 3), (3, 2), (4, 2), (2, 2, 2), (2, 3, 5)]:
-        assert list(split_indices(bases, 12)) == brute_split_indices(bases, 12), bases
+    # every tuple over {2, 3, 4, 5} of width 2 and 3, against a two-stream walk
+    for width in (2, 3):
+        for bases in product((2, 3, 4, 5), repeat=width):
+            assert list(split_indices(bases, 30)) == brute_split_indices(bases, 30), bases
 
 
 def test_split_indices_are_increasing_and_start_at_one():
