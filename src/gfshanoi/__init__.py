@@ -22,22 +22,15 @@ from .gfs import (
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
-    DiskOrderError,
-    EmptySourceError,
     Move,
-    MoveError,
     MovePlan,
-    NotAnEdgeError,
     PegGraph,
     ReplayReport,
-    apply_move,
     bfs_optimal,
-    initial_state,
     plan_complete,
     plan_path3,
     plan_star,
     star_params,
-    top_disk,
     validate_plan,
 )
 from .planfile import ParseError, graph_by_name, parse_graph_spec, parse_plan, serialize_plan
@@ -60,13 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "DEFAULT_STATE_BUDGET",
-    "DiskOrderError",
-    "EmptySourceError",
     "GfsTable",
     "Move",
-    "MoveError",
     "MovePlan",
-    "NotAnEdgeError",
     "ParameterError",
     "Params",
     "ParseError",
@@ -74,7 +63,6 @@ __all__ = [
     "ReplayReport",
     "SmoothTerm",
     "UnsupportedRegimeError",
-    "apply_move",
     "bfs_optimal",
     "classic_params",
     "constant_case_closed_form",
@@ -84,7 +72,6 @@ __all__ = [
     "gfs_oracle",
     "gfs_prefix",
     "graph_by_name",
-    "initial_state",
     "optimal_split",
     "parse_graph_spec",
     "parse_plan",
@@ -99,7 +86,6 @@ __all__ = [
     "split_indices",
     "split_indices_up_to",
     "star_params",
-    "top_disk",
     "validate_plan",
     "__version__",
 ]

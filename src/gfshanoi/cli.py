@@ -6,8 +6,9 @@ terms), ``plan`` (emit a move plan), ``validate`` (replay a plan file),
 
 Exit codes: 0 success, 1 bad usage or parameters, 2 a verification or
 validation mismatch, 3 search budget exceeded, 4 unreadable or malformed
-input.  Values that may not fit in 64 bits (number-table values, diffs,
-predicted lengths) are emitted as decimal strings in JSON output.
+input or a closed stdout.  Values that may not fit in 64 bits (number-table
+values, diffs, predicted lengths) are emitted as decimal strings in JSON
+output.
 """
 
 from __future__ import annotations
@@ -332,7 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.cmd](args)
+        code = _COMMANDS[args.cmd](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left (``| head``); devnull keeps the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

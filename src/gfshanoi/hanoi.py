@@ -1,9 +1,9 @@
 """Tower of Hanoi on graphs: legality engine, planners, BFS oracle.
 
 Pegs sit on the vertices of a simple connected graph and a disk may hop
-only along an edge.  A position is just the tuple ``disk_positions`` with
-entry d-1 naming the peg under disk d (disk 1 is the smallest); per-peg
-stacks are implied, and any such tuple is a legal position.
+only along an edge.  Replay and search hold a position as ``piles``: bit
+d-1 of ``piles[peg]`` is set while disk d (disk 1 is the smallest) is on
+that peg, so a peg's top disk is its lowest set bit.
 
 Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
 stars with center 1.  Each returns a ``MovePlan`` whose length matches the
@@ -14,7 +14,6 @@ exhaustive search.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -22,24 +21,6 @@ from .gfs import classic_params, gfs_fast, optimal_split
 from .smooth import ParameterError, Params
 
 DEFAULT_STATE_BUDGET = 5_000_000
-
-
-class MoveError(ValueError):
-    """A move the rules forbid; ``code`` names the reason."""
-
-    code = "illegal-move"
-
-
-class NotAnEdgeError(MoveError):
-    code = "not-an-edge"
-
-
-class EmptySourceError(MoveError):
-    code = "empty-source"
-
-
-class DiskOrderError(MoveError):
-    code = "larger-on-smaller"
 
 
 class BudgetError(RuntimeError):
@@ -120,40 +101,6 @@ class PegGraph:
         return cls.from_edges(leaves + 1, [(1, i) for i in range(2, leaves + 2)], name=f"S{leaves}")
 
 
-State = tuple[int, ...]
-
-
-def initial_state(n: int, peg: int) -> State:
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
-    return (peg,) * n
-
-
-def top_disk(state: State, peg: int) -> int | None:
-    """Topmost (smallest) disk number on ``peg``, or None if bare."""
-    for disk, where in enumerate(state, start=1):
-        if where == peg:
-            return disk
-    return None
-
-
-def apply_move(state: State, graph: PegGraph, move: Move) -> State:
-    """New state after relocating the topmost disk of ``move.from_peg``.
-
-    Raises NotAnEdgeError, EmptySourceError, or DiskOrderError.
-    """
-    u, v = move
-    if u == v or not graph.has_edge(u, v):
-        raise NotAnEdgeError(f"no edge {u}-{v} in {graph.name}")
-    disk = top_disk(state, u)
-    if disk is None:
-        raise EmptySourceError(f"peg {u} is bare")
-    target_top = top_disk(state, v)
-    if target_top is not None and disk > target_top:
-        raise DiskOrderError(f"disk {disk} cannot sit on smaller disk {target_top} at peg {v}")
-    return state[: disk - 1] + (v,) + state[disk:]
-
-
 @dataclass
 class MovePlan:
     graph: PegGraph
@@ -164,22 +111,23 @@ class MovePlan:
     predicted_length: int
 
 
-def _check_peg(graph: PegGraph, label: int, role: str) -> None:
-    if not 1 <= label <= graph.pegs:
-        raise ParameterError(f"{role} peg {label} is not a vertex of {graph.name}")
+def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> None:
+    """Both endpoints are vertices of ``graph`` and n >= 0."""
+    for role, peg in (("source", src), ("destination", dst)):
+        if not 1 <= peg <= graph.pegs:
+            raise ParameterError(f"{role} peg {peg} is not a vertex of {graph.name}")
+    if n < 0:
+        raise ParameterError("disk count must be nonnegative")
 
 
 def _check_endpoints(graph: PegGraph, n: int, src: int, dst: int, leaves=None) -> None:
-    """Planner arguments: distinct endpoints (leaves of a star), n >= 0."""
+    """Planner arguments: an instance with distinct endpoints (leaves of a star)."""
     for role, peg in (("source", src), ("destination", dst)):
-        if leaves is None:
-            _check_peg(graph, peg, role)
-        elif peg not in leaves:
+        if leaves is not None and peg not in leaves:
             raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
+    _check_instance(graph, n, src, dst)
     if src == dst:
         raise ParameterError("source and destination pegs must differ")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
 
 
 def _classic3(m: int, a: int, b: int, spare: int, out: list[Move]) -> None:
@@ -302,46 +250,53 @@ def bfs_optimal(
     Raises BudgetError when pegs**n exceeds ``budget`` instead of eating
     the memory.
     """
-    _check_peg(graph, src, "source")
-    _check_peg(graph, dst, "destination")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
+    _check_instance(graph, n, src, dst)
     if n == 0 or src == dst:
         return 0
     k = graph.pegs
-    state_count = k**n
-    if state_count > budget:
-        raise BudgetError(f"{state_count} states exceed the budget of {budget}")
-    hops = sorted((u, v) for edge in graph.edges for u, v in (edge, edge[::-1]))
+    # k >= 2, so n >= budget.bit_length() already means k**n > budget.
+    if n >= budget.bit_length() or k**n > budget:
+        raise BudgetError(f"{k}**{n} states exceed the budget of {budget}")
+    # Breadth-first search by layers (faster techniques: Korf & Felner,
+    # IJCAI 2007).  A state is its piles with slot 0 holding its base-k code,
+    # digit d-1 naming disk d's peg - 1; the code indexes ``seen``.
     weights = [k**d for d in range(n)]
-
-    def encode(state: State) -> int:
-        return sum((state[d] - 1) * weights[d] for d in range(n))
-
-    start: State = (src,) * n
-    goal: State = (dst,) * n
-    seen = bytearray(state_count)
-    seen[encode(start)] = 1
-    frontier: deque[tuple[State, int]] = deque([(start, 0)])
+    ones = sum(weights)
+    goal = (dst - 1) * ones
+    seen = bytearray(k**n)
+    start = [0] * (k + 1)
+    start[0] = (src - 1) * ones
+    start[src] = (1 << n) - 1
+    seen[start[0]] = 1
+    targets = [(u, [v for v in range(1, k + 1) if graph.has_edge(u, v)])
+               for u in range(1, k + 1)]
+    frontier = [start]
+    dist = 0
     while frontier:
-        state, dist = frontier.popleft()
-        tops = [0] * (k + 1)
-        for d in range(n - 1, -1, -1):
-            tops[state[d]] = d + 1  # smallest disk wins
-        for u, v in hops:
-            moving = tops[u]
-            if moving == 0:
-                continue
-            resting = tops[v]
-            if resting and resting < moving:
-                continue
-            succ = state[: moving - 1] + (v,) + state[moving:]
-            if succ == goal:
-                return dist + 1
-            code = encode(succ)
-            if not seen[code]:
-                seen[code] = 1
-                frontier.append((succ, dist + 1))
+        dist += 1
+        layer = []
+        while frontier:
+            piles = frontier.pop()  # freed once expanded: memory stays near one layer
+            for u, vs in targets:
+                pile = piles[u]
+                top = pile & -pile
+                if not top:
+                    continue
+                step = weights[top.bit_length() - 1]
+                for v in vs:
+                    if piles[v] & (top - 1):
+                        continue
+                    code = piles[0] + (v - u) * step
+                    if code == goal:
+                        return dist
+                    if not seen[code]:
+                        seen[code] = 1
+                        after = piles.copy()
+                        after[0] = code
+                        after[u] ^= top
+                        after[v] |= top
+                        layer.append(after)
+        frontier = layer
     raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
 
 
@@ -354,7 +309,6 @@ class ReplayReport:
     predicted_length: int
     failure_index: int | None
     failure: str | None
-    final_state: State
 
 
 def validate_plan(plan: MovePlan) -> ReplayReport:
@@ -363,20 +317,33 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     Passes only if every move is legal, the final position has all disks on
     the destination, and the move count equals ``predicted_length``.
     """
-    state = initial_state(plan.n, plan.src)
-    for index, move in enumerate(plan.moves):
-        try:
-            state = apply_move(state, plan.graph, move)
-        except MoveError as exc:
-            return ReplayReport(
-                False, index, plan.predicted_length, index,
-                f"move {index} ({move.from_peg}>{move.to_peg}): {exc.code}: {exc}", state,
-            )
+    graph, moves, dst = plan.graph, plan.moves, plan.dst
+    _check_instance(graph, plan.n, plan.src, dst)
+    # Disk d moves only after d - 1 earlier moves, so disks past
+    # len(moves) + 1 never move; the one extra stays on src and fails the
+    # final check whenever src != dst.
+    held = (1 << min(plan.n, len(moves) + 1)) - 1
+    piles = [0] * (graph.pegs + 1)
+    piles[plan.src] = held
+    for index, (u, v) in enumerate(moves):
+        top = piles[u] & -piles[u] if graph.has_edge(u, v) else None
+        if top is None:
+            failure = f"not-an-edge: no edge {u}-{v} in {graph.name}"
+        elif not top:
+            failure = f"empty-source: peg {u} is bare"
+        elif piles[v] & (top - 1):
+            below = piles[v] & -piles[v]
+            failure = (f"larger-on-smaller: disk {top.bit_length()} cannot sit on "
+                       f"smaller disk {below.bit_length()} at peg {v}")
+        else:
+            piles[u] ^= top
+            piles[v] |= top
+            continue
+        return ReplayReport(False, index, plan.predicted_length, index,
+                            f"move {index} ({u}>{v}): {failure}")
     failure = None
-    if any(peg != plan.dst for peg in state):
-        failure = f"final position is not all on peg {plan.dst}"
-    elif len(plan.moves) != plan.predicted_length:
-        failure = f"{len(plan.moves)} moves but the plan predicts {plan.predicted_length}"
-    return ReplayReport(
-        failure is None, len(plan.moves), plan.predicted_length, None, failure, state
-    )
+    if piles[dst] != held:
+        failure = f"final position is not all on peg {dst}"
+    elif len(moves) != plan.predicted_length:
+        failure = f"{len(moves)} moves but the plan predicts {plan.predicted_length}"
+    return ReplayReport(failure is None, len(moves), plan.predicted_length, None, failure)

@@ -210,6 +210,17 @@ def test_validate_reads_stdin(capsys, monkeypatch):
     assert out == "pass, 7 moves\n"
 
 
+def test_validate_memory_follows_the_moves(tmp_path, capsys):
+    # Disks past the moves read + 1 never move, so a huge header n costs nothing.
+    header = "hanoi-plan v1; graph=K3; k=3; n=1000000000000; src=1; dst={}; predicted={}\n"
+    path = tmp_path / "huge.plan"
+    path.write_text(header.format(3, 7) + "1>3\n", encoding="utf-8")
+    assert run(capsys, "validate", str(path))[:2] == (
+        2, "fail: final position is not all on peg 3\n")
+    path.write_text(header.format(1, 2) + "1>2\n2>1\n", encoding="utf-8")
+    assert run(capsys, "validate", str(path))[:2] == (0, "pass, 2 moves\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.plan")
     assert code == 4
@@ -275,11 +286,17 @@ def test_bfs_plain_and_json(capsys):
     assert json.loads(out)["moves"] == "7"
 
 
-def test_bfs_budget_flag(capsys):
+def test_bfs_budget_flag(capsys, monkeypatch):
     code, _, err = run(capsys, "bfs", "--graph", "K4", "--n", "10",
                        "--src", "1", "--dst", "2", "--budget", "100")
     assert code == 3
     assert "budget" in err
+    # refused from n alone, without formatting or building k**n
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    for n in ("100000", "10000000"):
+        code, _, err = run(capsys, "bfs", "--graph", "K3", "--n", n, "--src", "1", "--dst", "3")
+        assert code == 3
+        assert err == f"error: 3**{n} states exceed the budget of 5000000\n"
 
 
 def test_bfs_budget_env(capsys, monkeypatch):
@@ -381,3 +398,13 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "3 7 4 -"
+
+
+def test_closed_stdout_is_quiet():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gfshanoi", "sequence", "--bases", "2,3", "--count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"j value exponents\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (4, b"")

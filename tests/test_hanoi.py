@@ -9,21 +9,14 @@ from hypothesis import strategies as st
 from gfshanoi.gfs import gfs_fast
 from gfshanoi.hanoi import (
     BudgetError,
-    DiskOrderError,
-    EmptySourceError,
     Move,
-    MoveError,
     MovePlan,
-    NotAnEdgeError,
     PegGraph,
-    apply_move,
     bfs_optimal,
-    initial_state,
     plan_complete,
     plan_path3,
     plan_star,
     star_params,
-    top_disk,
     validate_plan,
 )
 from gfshanoi.planfile import serialize_plan
@@ -62,47 +55,49 @@ def test_custom_graph_default_name():
     assert g.name == "edges:1-2,2-3,3-4"
 
 
-def test_state_helpers():
-    assert initial_state(3, 2) == (2, 2, 2)
-    assert initial_state(0, 1) == ()
-    state = (2, 1, 2)
-    assert top_disk(state, 2) == 1
-    assert top_disk(state, 1) == 2
-    assert top_disk(state, 3) is None
-    with pytest.raises(ParameterError):
-        initial_state(-1, 1)
-
-
-def test_apply_move_error_codes():
+def test_replay_failure_codes():
     p3 = PegGraph.path3()
-    state = initial_state(2, 1)
-    with pytest.raises(NotAnEdgeError):
-        apply_move(state, p3, Move(1, 3))
-    with pytest.raises(NotAnEdgeError):
-        apply_move(state, p3, Move(1, 1))
-    with pytest.raises(EmptySourceError):
-        apply_move(state, p3, Move(2, 3))
-    state = apply_move(state, p3, Move(1, 2))
-    with pytest.raises(DiskOrderError):
-        apply_move(state, p3, Move(1, 2))  # disk 2 onto disk 1
-    assert NotAnEdgeError.code == "not-an-edge"
-    assert EmptySourceError.code == "empty-source"
-    assert DiskOrderError.code == "larger-on-smaller"
-    assert issubclass(DiskOrderError, MoveError)
+    cases = [
+        ([Move(1, 3)], 0, "move 0 (1>3): not-an-edge: no edge 1-3 in P3"),
+        ([Move(1, 1)], 0, "move 0 (1>1): not-an-edge: no edge 1-1 in P3"),
+        ([Move(1, 2), Move(3, 2)], 1, "move 1 (3>2): empty-source: peg 3 is bare"),
+        ([Move(1, 2), Move(1, 2)], 1,
+         "move 1 (1>2): larger-on-smaller: disk 2 cannot sit on smaller disk 1 at peg 2"),
+    ]
+    for moves, index, failure in cases:
+        report = validate_plan(MovePlan(p3, 2, 1, 3, moves, 8))
+        assert (report.ok, report.moves_applied, report.failure_index, report.failure) == (
+            False, index, index, failure)
+    with pytest.raises(ParameterError):
+        validate_plan(MovePlan(p3, -1, 1, 3, [], 0))
+    with pytest.raises(ParameterError):
+        validate_plan(MovePlan(p3, 2, 1, 4, [], 8))  # dst is not a vertex
 
 
-@given(n=st.integers(1, 6), data=st.data())
-@settings(deadline=None, max_examples=60)
-def test_legal_moves_are_invertible(n, data):
+def _first_illegal(graph, n, moves):
+    """Index of the first move the rules forbid, replayed on a disk -> peg list."""
+    where = [1] * n
+    for index, (u, v) in enumerate(moves):
+        on_u = [d for d in range(n) if where[d] == u]
+        on_v = [d for d in range(n) if where[d] == v]
+        if not graph.has_edge(u, v) or not on_u or (on_v and on_v[0] < on_u[0]):
+            return index
+        where[on_u[0]] = v
+    return None
+
+
+@given(n=st.integers(0, 6),
+       pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=30))
+@settings(deadline=None, max_examples=200)
+def test_replay_matches_a_disk_tuple_model(n, pairs):
     graph = PegGraph.complete(4)
-    state = tuple(data.draw(st.integers(1, 4)) for _ in range(n))
-    u = data.draw(st.integers(1, 4))
-    v = data.draw(st.integers(1, 4))
-    try:
-        after = apply_move(state, graph, Move(u, v))
-    except MoveError:
-        return
-    assert apply_move(after, graph, Move(v, u)) == state
+    moves = [Move(u, v) for u, v in pairs]
+    first = _first_illegal(graph, n, moves)
+    assert validate_plan(MovePlan(graph, n, 1, 4, moves, len(moves))).failure_index == first
+    legal = moves[:first]
+    round_trip = legal + [Move(v, u) for u, v in reversed(legal)]
+    report = validate_plan(MovePlan(graph, n, 1, 1, round_trip, len(round_trip)))
+    assert report.ok, report.failure
 
 
 def test_complete_plan_lengths():
@@ -214,6 +209,9 @@ def test_bfs_never_beats_star_bound_and_matches_small_cases():
 def test_bfs_budget():
     with pytest.raises(BudgetError):
         bfs_optimal(PegGraph.complete(4), 12, 1, 4, budget=1000)
+    # refused from n alone: 3**(10**12) is never built
+    with pytest.raises(BudgetError, match=r"3\*\*1000000000000 states exceed the budget of 9"):
+        bfs_optimal(PegGraph.complete(3), 10**12, 1, 3, budget=9)
     # exactly at the limit is allowed
     assert bfs_optimal(PegGraph.complete(3), 2, 1, 3, budget=9) == 3
 
