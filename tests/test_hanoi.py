@@ -55,7 +55,23 @@ def test_custom_graph_default_name():
     assert g.name == "edges:1-2,2-3,3-4"
 
 
-def test_replay_failure_codes():
+def test_state_helpers():
+    # The start position holds all n disks on src and leaves the other pegs bare.
+    k3 = PegGraph.complete(3)
+    assert validate_plan(MovePlan(k3, 3, 2, 2, [], 0)).ok
+    assert validate_plan(MovePlan(k3, 0, 1, 1, [], 0)).ok
+    assert validate_plan(MovePlan(k3, 3, 2, 3, [Move(1, 3)], 7)).failure == (
+        "move 0 (1>3): empty-source: peg 1 is bare")
+    # Failure strings read the top disk of both pegs: peg 2 holds disk 3, peg 3 holds 1 over 2.
+    moves = [Move(2, 1), Move(2, 3), Move(1, 3), Move(2, 3)]
+    report = validate_plan(MovePlan(k3, 3, 2, 3, moves, 7))
+    assert (report.failure_index, report.failure) == (
+        3, "move 3 (2>3): larger-on-smaller: disk 3 cannot sit on smaller disk 1 at peg 3")
+    with pytest.raises(ParameterError):
+        validate_plan(MovePlan(k3, -1, 1, 3, [], 0))
+
+
+def test_apply_move_error_codes():
     p3 = PegGraph.path3()
     cases = [
         ([Move(1, 3)], 0, "move 0 (1>3): not-an-edge: no edge 1-3 in P3"),
