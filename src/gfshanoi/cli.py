@@ -36,6 +36,7 @@ from .smooth import (
     ParameterError,
     Params,
     UnsupportedRegimeError,
+    _at_least,
     smooth_stream,
     split_indices_up_to,
 )
@@ -72,10 +73,7 @@ def _arg_type(parse, expected: str):
 
 def _pq(text: str) -> tuple[int, int]:
     p, _, q = text.partition(":")
-    pair = (_decimal(p), _decimal(q))
-    if min(pair) < 1:
-        raise ValueError(text)
-    return pair
+    return (_at_least(_decimal(p), 1, "P"), _at_least(_decimal(q), 1, "Q"))
 
 
 def _n_range(text: str) -> tuple[int, int]:
@@ -143,9 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_budget(flag: int | None) -> int:
     if flag is not None:
-        if flag < 1:
-            raise ParameterError("--budget must be at least 1")
-        return flag
+        return _at_least(flag, 1, "--budget")
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_STATE_BUDGET
@@ -153,9 +149,7 @@ def _resolve_budget(flag: int | None) -> int:
         value = _decimal(raw)
     except ValueError:
         raise ParameterError(f"{BUDGET_ENV}={raw!r} is not a nonnegative integer") from None
-    if value < 1:
-        raise ParameterError(f"{BUDGET_ENV} must be at least 1")
-    return value
+    return _at_least(value, 1, BUDGET_ENV)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ from math import comb
 from .smooth import (
     ParameterError,
     Params,
+    _at_least,
     _binomial_level,
     smooth_iter,
     split_indices_up_to,
@@ -59,8 +60,7 @@ class GfsTable:
 
     @classmethod
     def build(cls, params: Params, n_max: int) -> "GfsTable":
-        if n_max < 0:
-            raise ParameterError("n_max must be nonnegative")
+        n_max = _at_least(n_max, 0, "n_max")
         p3, q3 = params.bases[0], params.weights[0]
         row = [0] * (n_max + 1)
         for n in range(1, n_max + 1):
@@ -75,17 +75,22 @@ class GfsTable:
             rows[i] = row
         return cls(params, n_max, rows)
 
+    def _cell(self, n: int, i: int | None, least_n: int, least_i: int) -> tuple[int, int]:
+        """(n, i), i defaulting to k, once least_n <= n <= n_max and least_i <= i <= k."""
+        n = _at_least(n, least_n, "n")
+        i = _at_least(self.params.k if i is None else i, least_i, "level i")
+        if n > self.n_max or i > self.params.k:
+            raise ParameterError(f"G_{i}({n}) is outside the table (n_max {self.n_max})")
+        return n, i
+
     def value(self, n: int, i: int | None = None) -> int:
         """G_i(n); i defaults to the top level k."""
-        return self.rows[self.params.k if i is None else i][n]
+        n, i = self._cell(n, i, 0, 3)
+        return self.rows[i][n]
 
     def argmin_split(self, n: int, i: int | None = None) -> int:
         """Smallest t attaining the level-i minimum at n (i >= 4)."""
-        i = self.params.k if i is None else i
-        if i < 4:
-            raise ParameterError("the 3-peg level has no split point")
-        if not 1 <= n <= self.n_max:
-            raise ParameterError("n out of table range")
+        n, i = self._cell(n, i, 1, 4)
         p, q = self.params.bases[i - 3], self.params.weights[i - 3]
         return _split_scan(p, q, self.rows[i], self.rows[i - 1], n)[1]
 
@@ -97,8 +102,7 @@ def gfs_oracle(params: Params, n: int) -> int:
 
 def gfs_prefix(params: Params, n_max: int) -> list[int]:
     """[G_k(0), ..., G_k(n_max)] via the prefix-sum identity."""
-    if n_max < 0:
-        raise ParameterError("n_max must be nonnegative")
+    n_max = _at_least(n_max, 0, "n_max")
     q = params.q
     out = [0] * (n_max + 1)
     acc = 0
@@ -110,19 +114,15 @@ def gfs_prefix(params: Params, n_max: int) -> list[int]:
 
 def gfs_fast(params: Params, n: int) -> int:
     """G_k(n) as the weight product times the n-term stream prefix sum."""
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
     acc = 0
-    for term in islice(smooth_iter(params.bases), n):
+    for term in islice(smooth_iter(params.bases), _at_least(n, 0, "n")):
         acc += term.value
     return params.q * acc
 
 
 def gfs_diff(params: Params, n: int) -> int:
     """G_k(n) - G_k(n-1), i.e. the weight product times the n-th stream value."""
-    if n < 1:
-        raise ParameterError("differences need n >= 1")
-    term = next(islice(smooth_iter(params.bases), n - 1, None))
+    term = next(islice(smooth_iter(params.bases), _at_least(n, 1, "n") - 1, None))
     return params.q * term.value
 
 
@@ -133,9 +133,7 @@ def optimal_split(params: Params, n: int) -> int:
     which is defined for k >= 4 and every base >= 2 (``split_index_iter``
     refuses the rest); outside that regime use the table's argmin instead.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return len(split_indices_up_to(params.bases, n))
+    return len(split_indices_up_to(params.bases, _at_least(n, 1, "n")))
 
 
 def constant_case_closed_form(p: int, k: int, n: int) -> int:
@@ -145,12 +143,7 @@ def constant_case_closed_form(p: int, k: int, n: int) -> int:
 
         sum over m < j of C(k+m-3, k-3) * p**m  +  (n - C(k+j-3, k-2)) * p**j
     """
-    if p < 1:
-        raise ParameterError("base must be a positive integer")
-    if k < 3:
-        raise ParameterError("peg count must be at least 3")
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
+    p, k, n = _at_least(p, 1, "base"), _at_least(k, 3, "peg count"), _at_least(n, 0, "n")
     if n == 0:
         return 0
     j = _binomial_level(k, n)
@@ -160,6 +153,5 @@ def constant_case_closed_form(p: int, k: int, n: int) -> int:
 
 def classic_params(k: int) -> Params:
     """The all-(2, 1) family: classic k-peg Frame-Stewart numbers."""
-    if k < 3:
-        raise ParameterError("need at least three pegs")
+    k = _at_least(k, 3, "peg count")
     return Params((2,) * (k - 2), (1,) * (k - 2))

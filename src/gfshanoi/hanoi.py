@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .gfs import classic_params, gfs_fast, optimal_split
-from .smooth import ParameterError, Params
+from .smooth import ParameterError, Params, _at_least
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -41,11 +41,10 @@ class PegGraph:
     name: str
 
     def __post_init__(self) -> None:
-        if self.pegs < 2:
-            raise ParameterError("a peg graph needs at least two pegs")
-        adjacency: dict[int, list[int]] = {v: [] for v in range(1, self.pegs + 1)}
+        pegs = _at_least(self.pegs, 2, "peg count")
+        adjacency: dict[int, list[int]] = {v: [] for v in range(1, pegs + 1)}
         for u, v in self.edges:
-            if not (1 <= u <= self.pegs and 1 <= v <= self.pegs):
+            if max(_at_least(w, 1, f"edge {u}-{v}: peg label") for w in (u, v)) > pegs:
                 raise ParameterError(f"edge {u}-{v} uses an unknown peg label")
             if u >= v:
                 raise ParameterError("edges must be normalized (u < v)")
@@ -58,7 +57,7 @@ class PegGraph:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != self.pegs:
+        if len(seen) != pegs:
             raise ParameterError("the peg graph must be connected")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -84,8 +83,7 @@ class PegGraph:
 
     @classmethod
     def complete(cls, k: int) -> "PegGraph":
-        if k < 2:
-            raise ParameterError("a complete peg graph needs k >= 2")
+        k = _at_least(k, 2, "peg count")
         pairs = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
         return cls.from_edges(k, pairs, name=f"K{k}")
 
@@ -96,8 +94,7 @@ class PegGraph:
     @classmethod
     def star(cls, leaves: int) -> "PegGraph":
         """Center peg 1 with ``leaves`` leaf pegs labeled 2..leaves+1."""
-        if leaves < 2:
-            raise ParameterError("a star needs at least two leaves")
+        leaves = _at_least(leaves, 2, "leaf count")
         return cls.from_edges(leaves + 1, [(1, i) for i in range(2, leaves + 2)], name=f"S{leaves}")
 
 
@@ -111,23 +108,24 @@ class MovePlan:
     predicted_length: int
 
 
-def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> None:
-    """Both endpoints are vertices of ``graph`` and n >= 0."""
+def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> int:
+    """The disk count n >= 0 as an int, once src and dst are integer vertices of ``graph``."""
     for role, peg in (("source", src), ("destination", dst)):
-        if not 1 <= peg <= graph.pegs:
+        if peg not in range(1, graph.pegs + 1):
             raise ParameterError(f"{role} peg {peg} is not a vertex of {graph.name}")
-    if n < 0:
-        raise ParameterError("disk count must be nonnegative")
+        _at_least(peg, 1, f"{role} peg")  # 2.0 == 2 lies in the range too
+    return _at_least(n, 0, "disk count")
 
 
-def _check_endpoints(graph: PegGraph, n: int, src: int, dst: int, leaves=None) -> None:
+def _check_endpoints(graph: PegGraph, n: int, src: int, dst: int, leaves=None) -> int:
     """Planner arguments: an instance with distinct endpoints (leaves of a star)."""
     for role, peg in (("source", src), ("destination", dst)):
         if leaves is not None and peg not in leaves:
             raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
-    _check_instance(graph, n, src, dst)
+    n = _check_instance(graph, n, src, dst)
     if src == dst:
         raise ParameterError("source and destination pegs must differ")
+    return n
 
 
 def _classic3(m: int, a: int, b: int, spare: int, out: list[Move]) -> None:
@@ -174,10 +172,9 @@ def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     peg using all pegs, the t largest cross on the remaining k - 1 pegs,
     and the parked pile follows; t comes from ``optimal_split``.
     """
-    if k < 3:
-        raise ParameterError("complete-graph planning needs k >= 3")
+    k = _at_least(k, 3, "peg count")
     graph = PegGraph.complete(k)
-    _check_endpoints(graph, n, src, dst)
+    n = _check_endpoints(graph, n, src, dst)
     moves = _split_moves(tuple(range(1, k + 1)), n, src, dst, classic_params, _classic3, min)
     return MovePlan(graph, n, src, dst, moves, gfs_fast(classic_params(k), n))
 
@@ -205,7 +202,7 @@ def _path_transfer(n: int, frm: int, to: int, triple: tuple[int, int, int], out:
 def plan_path3(n: int, src: int, dst: int) -> MovePlan:
     """Plan on the path 1 - 2 - 3 for any distinct source and destination."""
     graph = PegGraph.path3()
-    _check_endpoints(graph, n, src, dst)
+    n = _check_endpoints(graph, n, src, dst)
     moves: list[Move] = []
     _path_transfer(n, src, dst, (1, 2, 3), moves)
     weight = 1 if 2 in (src, dst) else 2  # a middle endpoint halves the cost
@@ -215,8 +212,7 @@ def plan_path3(n: int, src: int, dst: int) -> MovePlan:
 def star_params(leaves: int) -> Params:
     """Parameter family whose numbers the star planner realizes: (3, 2)
     at the base level, then (2, 1) per extra leaf, for leaves + 1 pegs."""
-    if leaves < 2:
-        raise ParameterError("a star needs at least two leaves")
+    leaves = _at_least(leaves, 2, "leaf count")
     return Params((3,) + (2,) * (leaves - 2), (2,) + (1,) * (leaves - 2))
 
 
@@ -229,11 +225,9 @@ def plan_star(k: int, n: int, src: int, dst: int) -> MovePlan:
     through the center.  The length realizes the (k+1)-peg number of the
     ``star_params`` family; it is an upper bound for the true optimum.
     """
-    if k < 2:
-        raise ParameterError("star planning needs at least two leaves")
     graph = PegGraph.star(k)
-    pegs = tuple(range(1, k + 2))
-    _check_endpoints(graph, n, src, dst, leaves=pegs[1:])
+    pegs = tuple(range(1, graph.pegs + 1))
+    n = _check_endpoints(graph, n, src, dst, leaves=pegs[1:])
     # The center is never the highest-numbered spare while a leaf is spare.
     moves = _split_moves(
         pegs, n, src, dst, lambda width: star_params(width - 1),
@@ -250,7 +244,8 @@ def bfs_optimal(
     Raises BudgetError when pegs**n exceeds ``budget`` instead of eating
     the memory.
     """
-    _check_instance(graph, n, src, dst)
+    budget = _at_least(budget, 1, "budget")
+    n = _check_instance(graph, n, src, dst)
     if n == 0 or src == dst:
         return 0
     k = graph.pegs
@@ -318,11 +313,11 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     the destination, and the move count equals ``predicted_length``.
     """
     graph, moves, dst = plan.graph, plan.moves, plan.dst
-    _check_instance(graph, plan.n, plan.src, dst)
+    n = _check_instance(graph, plan.n, plan.src, dst)
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
     # final check whenever src != dst.
-    held = (1 << min(plan.n, len(moves) + 1)) - 1
+    held = (1 << min(n, len(moves) + 1)) - 1
     piles = [0] * (graph.pegs + 1)
     piles[plan.src] = held
     for index, (u, v) in enumerate(moves):

@@ -90,6 +90,20 @@ def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
     return out
 
 
+def _at_least(value: int, least: int, what: str) -> int:
+    """``value`` as an int; ParameterError unless it is an integer >= ``least``.
+
+    Every scalar count, size, level, peg label and budget argument comes here.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer") from None
+    if value < least:
+        raise ParameterError(f"{what} must be at least {least}")
+    return value
+
+
 def smooth_iter(bases: Sequence[int]) -> Iterator[SmoothTerm]:
     """Unbounded iterator over the stream for ``bases``.
 
@@ -140,9 +154,7 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
     """First ``count`` stream terms as a list; count == 0 gives []."""
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
-    return list(islice(smooth_iter(bases), count))
+    return list(islice(smooth_iter(bases), _at_least(count, 0, "count")))
 
 
 def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
@@ -175,9 +187,7 @@ def _split_iter(bases: tuple[int, ...]) -> Iterator[int]:
 
 def split_indices(bases: Sequence[int], count: int) -> tuple[int, ...]:
     """The first ``count`` split indices (see ``split_index_iter``)."""
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
-    return tuple(islice(split_index_iter(bases), count))
+    return tuple(islice(split_index_iter(bases), _at_least(count, 0, "count")))
 
 
 def split_indices_up_to(bases: Sequence[int], limit: int) -> list[int]:
@@ -186,8 +196,7 @@ def split_indices_up_to(bases: Sequence[int], limit: int) -> list[int]:
     Cheaper than ``split_indices`` when only a position range matters,
     since the j-th index grows much faster than j.
     """
-    if limit < 0:
-        raise ParameterError("limit must be nonnegative")
+    limit = _at_least(limit, 0, "limit")
     return list(takewhile(lambda index: index <= limit, split_index_iter(bases)))
 
 
@@ -206,10 +215,5 @@ def constant_p_term(p: int, k: int, n: int) -> int:
     ``C(k+j-3, k-2) < n <= C(k+j-2, k-2)``; agrees with ``smooth_stream``
     on ``(p,) * (k - 2)`` for every n >= 1.
     """
-    if p < 1:
-        raise ParameterError("base must be a positive integer")
-    if k < 3:
-        raise ParameterError("peg count must be at least 3")
-    if n < 1:
-        raise ParameterError("position must be >= 1")
+    p, k, n = _at_least(p, 1, "base"), _at_least(k, 3, "peg count"), _at_least(n, 1, "position")
     return p ** _binomial_level(k, n)

@@ -22,7 +22,7 @@ from .gfs import (
     gfs_prefix,
 )
 from .hanoi import bfs_optimal, plan_complete, plan_path3, plan_star, star_params, validate_plan
-from .smooth import Params, constant_p_term, smooth_stream, split_indices_up_to
+from .smooth import Params, _at_least, constant_p_term, smooth_stream, split_indices_up_to
 
 DEFAULT_SEED = 1729
 
@@ -222,8 +222,7 @@ CHECKS = (
 
 def run_suite(max_n: int | None = None, seed: int = DEFAULT_SEED) -> dict:
     """Run every check; ``max_n`` caps instance sizes for quick runs."""
-    if max_n is not None and max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    max_n = None if max_n is None else _at_least(max_n, 0, "max_n")
 
     def cap(x: int) -> int:
         return x if max_n is None else min(x, max_n)

@@ -401,10 +401,11 @@ def test_module_entry_point():
 
 
 def test_closed_stdout_is_quiet():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "gfshanoi", "sequence", "--bases", "2,3", "--count", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"j value exponents\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (4, b"")
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"j value exponents\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (4, b"")

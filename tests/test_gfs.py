@@ -163,6 +163,17 @@ def test_domain_errors():
         optimal_split(classic_params(4), 0)
     with pytest.raises(ParameterError):
         constant_case_closed_form(2, 3, -1)
+    # counts and levels are integers: a float is refused, not truncated or used
+    with pytest.raises(ParameterError):
+        optimal_split(classic_params(4), 2.5)
+    with pytest.raises(ParameterError):
+        constant_case_closed_form(2, 4, 2.5)
+    with pytest.raises(ParameterError):
+        gfs_fast(classic_params(4), 2.5)
+    table = GfsTable.build(classic_params(4), 10)
+    for n, i in ((-1, None), (11, None), (3, 2)):
+        with pytest.raises(ParameterError):
+            table.value(n, i)
 
 
 def test_fast_route_memory_is_bounded():

@@ -48,6 +48,8 @@ def test_graph_validation():
         PegGraph.complete(1)
     with pytest.raises(ParameterError):
         PegGraph.star(1)
+    with pytest.raises(ParameterError):
+        PegGraph.from_edges(3, [(1.0, 2), (2, 3)])  # a float label
 
 
 def test_custom_graph_default_name():
@@ -69,6 +71,8 @@ def test_state_helpers():
         3, "move 3 (2>3): larger-on-smaller: disk 3 cannot sit on smaller disk 1 at peg 3")
     with pytest.raises(ParameterError):
         validate_plan(MovePlan(k3, -1, 1, 3, [], 0))
+    with pytest.raises(ParameterError):
+        validate_plan(MovePlan(k3, 2.5, 1, 3, [], 0))
 
 
 def test_apply_move_error_codes():
@@ -230,6 +234,10 @@ def test_bfs_budget():
         bfs_optimal(PegGraph.complete(3), 10**12, 1, 3, budget=9)
     # exactly at the limit is allowed
     assert bfs_optimal(PegGraph.complete(3), 2, 1, 3, budget=9) == 3
+    # a budget is an integer >= 1, whatever the instance
+    for budget in (0, 2.5):
+        with pytest.raises(ParameterError):
+            bfs_optimal(PegGraph.complete(3), 2, 1, 3, budget=budget)
 
 
 def test_validate_plan_failure_modes():

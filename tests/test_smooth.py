@@ -206,3 +206,9 @@ def test_parameter_errors():
         constant_p_term(2, 3, 0)
     with pytest.raises(ParameterError):
         constant_p_term(0, 3, 1)
+    with pytest.raises(ParameterError):
+        split_indices_up_to((2, 2), 7.9)
+    with pytest.raises(ParameterError):
+        constant_p_term(2.5, 4, 3)
+    with pytest.raises(ParameterError):
+        smooth_stream((2,), 2.5)
