@@ -11,6 +11,7 @@ Example:
 """
 
 import argparse
+import sys
 
 from gfshanoi import BudgetError, PegGraph, bfs_optimal, plan_star
 
@@ -23,8 +24,15 @@ def main() -> int:
     parser.add_argument("--dst", type=int, default=3, help="destination leaf")
     parser.add_argument("--budget", type=int, default=None,
                         help="state-count limit for the search")
-    args = parser.parse_args()
+    try:
+        report(parser.parse_args())
+    except ValueError as exc:  # a leaf count, leaf or budget out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def report(args: argparse.Namespace) -> None:
     graph = PegGraph.star(args.leaves)
     print(f"# {graph.name}, leaf {args.src} -> leaf {args.dst}")
     print("n plan_bound search_optimum gap")
@@ -39,7 +47,6 @@ def main() -> int:
             print(f"# stopped at n={n}: {exc}")
             break
         print(f"{n} {bound} {best} {bound - best}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ output.
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .gfs import GfsTable, gfs_prefix
@@ -37,7 +37,7 @@ from .smooth import (
     Params,
     UnsupportedRegimeError,
     _at_least,
-    smooth_stream,
+    smooth_iter,
     split_indices_up_to,
 )
 from .verify import DEFAULT_SEED, run_suite
@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     p = sub.add_parser("compute", help="tabulate move numbers for a parameter family")
+    p.set_defaults(run=cmd_compute)
     p.add_argument("--pq", metavar="P:Q", type=_parse_pq, action="append", required=True,
                    help="one pair per level, three-peg level first; repeatable")
     p.add_argument("--n", metavar="N|A..B", type=_parse_n_range, required=True,
@@ -106,22 +107,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p = sub.add_parser("sequence", help="emit difference-stream terms for a base tuple")
+    p.set_defaults(run=cmd_sequence)
     p.add_argument("--bases", metavar="B1,B2,...", type=_parse_bases, required=True)
     p.add_argument("--count", type=_nonneg_int, required=True, help="number of terms")
     p.add_argument("--splits", action="store_true", help="also list split indices")
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p = sub.add_parser("plan", help="write a move plan for a named graph to stdout")
+    p.set_defaults(run=cmd_plan)
     p.add_argument("--graph", required=True, help="K<k>, P3, or S<leaves>")
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--src", type=_nonneg_int, required=True)
     p.add_argument("--dst", type=_nonneg_int, required=True)
 
     p = sub.add_parser("validate", help="replay a plan file against the rules")
+    p.set_defaults(run=cmd_validate)
     p.add_argument("file", nargs="?", default=None, help="plan file (default: stdin)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("bfs", help="exact optimum by exhaustive search")
+    p.set_defaults(run=cmd_bfs)
     p.add_argument("--graph", required=True,
                    help="named graph, or '<pegs>; u-v,u-v,...' for a custom one")
     p.add_argument("--n", type=_nonneg_int, required=True)
@@ -133,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("verify", help="run the randomized cross-check suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--max-n", type=_nonneg_int, default=None,
                    help="cap instance sizes for a quicker run")
     p.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
@@ -156,7 +162,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     params = Params.from_pairs(args.pq)
     lo, hi = args.n
     prefix = gfs_prefix(params, hi)
-    splits: dict[int, int] = {}
+    splits: list[int | None] = [None] * (hi + 1)
     source = table = None
     if args.splits:
         if params.k < 4:
@@ -166,10 +172,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
         except UnsupportedRegimeError:  # some base is 1
             source = "oracle-argmin"
             table = GfsTable.build(params, hi)
-            splits = {n: table.argmin_split(n) for n in range(1, hi + 1)}
+            splits[1:] = map(table.argmin_split, range(1, hi + 1))
         else:
             source = "split-indices"
-            splits = {n: bisect.bisect_right(marks, n) for n in range(1, hi + 1)}
+            # n has split j from the j-th split index up to the next one
+            for j, (start, end) in enumerate(zip(marks, marks[1:] + [hi + 1]), start=1):
+                splits[start:end] = [j] * (end - start)
     if args.oracle:
         table = table or GfsTable.build(params, hi)
         for n in range(hi + 1):
@@ -179,76 +187,52 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 return EXIT_MISMATCH
         print(f"oracle: match ({hi + 1} checked)", file=sys.stderr)
 
-    rows = [
-        {
-            "n": n,
-            "value": str(prefix[n]),
-            "diff": str(prefix[n] - prefix[n - 1]) if n else None,
-            "split": splits.get(n),
-            "split_source": source if n in splits else None,
-        }
-        for n in range(lo, hi + 1)
-    ]
+    rows = range(lo, hi + 1)
+    str(prefix[hi])  # a value past the int/str digit limit fails before any row is out
     if args.format == "json":
         payload = {"bases": list(params.bases), "weights": list(params.weights),
-                   "k": params.k, "rows": rows}
+                   "k": params.k, "rows": [
+                       {"n": n, "value": str(prefix[n]),
+                        "diff": str(prefix[n] - prefix[n - 1]) if n else None,
+                        "split": splits[n],
+                        "split_source": source if splits[n] is not None else None}
+                       for n in rows]}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "value", "diff", "split"])
-        for row in rows:
-            split = row["split"] if row["split_source"] == "split-indices" else ""
-            writer.writerow([row["n"], row["value"], row["diff"] or "", split])
+        # csv leaves the fallback column empty; no field ever needs quoting
+        print("n,value,diff,split")
+        for n in rows:
+            split = splits[n] if n and source == "split-indices" else ""
+            print(f"{n},{prefix[n]},{prefix[n] - prefix[n - 1] if n else ''},{split}")
     else:
+        mark = "*" if source == "oracle-argmin" else ""
         print("n value diff split")
-        starred = False
-        for row in rows:
-            if row["split"] is None:
-                split = "-"
-            elif row["split_source"] == "oracle-argmin":
-                split = f"{row['split']}*"
-                starred = True
-            else:
-                split = str(row["split"])
-            print(f"{row['n']} {row['value']} {row['diff'] or '-'} {split}")
-        if starred:
+        for n in rows:
+            split = "-" if splits[n] is None else f"{splits[n]}{mark}"
+            print(f"{n} {prefix[n]} {prefix[n] - prefix[n - 1] if n else '-'} {split}")
+        if mark and hi:
             print("* split from recurrence argmin (outside the split-index regime)")
     return EXIT_OK
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    bases = args.bases
-    terms = smooth_stream(bases, args.count)
-    marks: list[int] | None = None
-    ordinals: dict[int, int] = {}
-    if args.splits:
-        marks = split_indices_up_to(bases, args.count)
-        ordinals = {m: i for i, m in enumerate(marks, start=1)}
+    terms = enumerate(islice(smooth_iter(args.bases), args.count), start=1)
+    # Split indices come before the first row, so a regime error prints nothing.
+    marks = split_indices_up_to(args.bases, args.count) if args.splits else None
     if args.format == "json":
-        payload = {
-            "bases": list(bases),
-            "terms": [
-                {"j": j, "value": str(term.value), "exponents": list(term.exponents)}
-                for j, term in enumerate(terms, start=1)
-            ],
-            "splits": marks,
-        }
+        payload = {"bases": list(args.bases), "terms": [
+            {"j": j, "value": str(term.value), "exponents": list(term.exponents)}
+            for j, term in terms], "splits": marks}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["j", "value", "exponents", "split"])
-        for j, term in enumerate(terms, start=1):
-            writer.writerow([j, term.value, " ".join(map(str, term.exponents)),
-                             ordinals.get(j, "")])
+        ordinals = {m: i for i, m in enumerate(marks or (), start=1)}
+        print("j,value,exponents,split")
+        for j, term in terms:
+            print(f"{j},{term.value},{' '.join(map(str, term.exponents))},{ordinals.get(j, '')}")
     else:
         print("j value exponents")
-        for j, term in enumerate(terms, start=1):
-            vector = "(" + ",".join(map(str, term.exponents)) + ")"
-            print(f"{j} {term.value} {vector}")
+        for j, term in terms:
+            print(f"{j} {term.value} ({','.join(map(str, term.exponents))})")
         if marks is not None:
             print("splits: " + " ".join(map(str, marks)))
     return EXIT_OK
@@ -310,16 +294,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
-_COMMANDS = {
-    "compute": cmd_compute,
-    "sequence": cmd_sequence,
-    "plan": cmd_plan,
-    "validate": cmd_validate,
-    "bfs": cmd_bfs,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -327,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = _COMMANDS[args.cmd](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

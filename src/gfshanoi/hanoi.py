@@ -184,7 +184,7 @@ def _path_transfer(n: int, frm: int, to: int, triple: tuple[int, int, int], out:
     # mid-right hops exist.  End-to-end costs 3^n - 1; a transfer that
     # starts or ends on the middle costs (3^n - 1) / 2.
     mid = triple[1]
-    if n == 0 or frm == to:
+    if n == 0:
         return
     if mid in (frm, to):  # adjacent pegs: the rest wait on the third peg
         other = sum(triple) - frm - to

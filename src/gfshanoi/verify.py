@@ -21,7 +21,7 @@ from .gfs import (
     constant_case_closed_form,
     gfs_prefix,
 )
-from .hanoi import bfs_optimal, plan_complete, plan_path3, plan_star, star_params, validate_plan
+from .hanoi import bfs_optimal, plan_complete, plan_path3, plan_star, validate_plan
 from .smooth import Params, _at_least, constant_p_term, smooth_stream, split_indices_up_to
 
 DEFAULT_SEED = 1729

@@ -1,15 +1,20 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gfshanoi.cli as cli
 import gfshanoi.verify as verify_mod
 from gfshanoi.gfs import GfsTable
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -387,6 +392,23 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
 
+def test_readme_cli_contract(capsys, monkeypatch):
+    # README's example output, plan header and validate verdict are the
+    # fixed CLI contract; each must be what the CLI prints.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```", text, re.M | re.S)
+    command = "gfshanoi compute --pq 2:1 --pq 2:1 --n 1..6 --splits\n"
+    assert run(capsys, *command.split()[1:]) == (0, blocks[blocks.index(command) + 1], "")
+    header = next(block for block in blocks if block.startswith("hanoi-plan v1"))
+    code, out, _ = run(capsys, "plan", "--graph", "K4", "--n", "3", "--src", "1", "--dst", "4")
+    assert (code, out.splitlines()[0]) == (0, header.splitlines()[0])
+    assert "`plan --graph K4 --n 8 --src 1 --dst 4`" in text
+    verdict = re.search(r"`(pass, \d+ moves)`", text).group(1)
+    code, out, _ = run(capsys, "plan", "--graph", "K4", "--n", "8", "--src", "1", "--dst", "4")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    assert run(capsys, "validate") == (0, verdict + "\n", "")
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "compute", "--help")[0] == 0
@@ -409,3 +431,26 @@ def test_closed_stdout_is_quiet():
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (4, b"")
+
+
+def test_table_bytes_are_pinned(capsys):
+    # Every format of both table commands, the argmin fallback, n = 0 rows,
+    # count 0 and width-3 ordinals included; a change in any byte shows here.
+    digest = hashlib.sha256()
+    grids = [(["compute", "--pq", "2:1", "--pq", "2:1"], "--n", ("0", "0..12", "5..30"), True),
+             (["compute", "--pq", "2:1", "--pq", "3:1", "--pq", "2:2"], "--n",
+              ("0", "0..12", "5..30"), True),
+             (["compute", "--pq", "1:2", "--pq", "2:1"], "--n", ("0", "0..12", "5..30"), True),
+             (["compute", "--pq", "9:9"], "--n", ("0", "0..12", "5..30"), False),
+             (["sequence", "--bases", "2,2"], "--count", ("0", "1", "40"), True),
+             (["sequence", "--bases", "2,3,5"], "--count", ("0", "1", "40"), True),
+             (["sequence", "--bases", "3"], "--count", ("0", "1", "40"), False)]
+    for command, size_flag, sizes, splits in grids:
+        for size in sizes:
+            for fmt in ("plain", "csv", "json"):
+                for extra in (([], ["--splits"]) if splits else ([],)):
+                    code, out, _ = run(capsys, *command, size_flag, size, "--format", fmt, *extra)
+                    digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "ab07ace8000b50579b427175be00af6827f4b3da0a8519996daef42a2eddf3bd"
+    )
