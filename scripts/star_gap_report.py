@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from gfshanoi import BudgetError, PegGraph, bfs_optimal, plan_star
+from gfshanoi import DEFAULT_STATE_BUDGET, BudgetError, PegGraph, bfs_optimal, plan_star
 
 
 def main() -> int:
@@ -22,8 +22,8 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=6, help="largest disk count")
     parser.add_argument("--src", type=int, default=2, help="source leaf")
     parser.add_argument("--dst", type=int, default=3, help="destination leaf")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="state-count limit for the search")
+    parser.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+                        help="state-count limit for the search (default %(default)s)")
     try:
         report(parser.parse_args())
     except ValueError as exc:  # a leaf count, leaf or budget out of range
@@ -39,10 +39,7 @@ def report(args: argparse.Namespace) -> None:
     for n in range(1, args.max_n + 1):
         bound = len(plan_star(args.leaves, n, args.src, args.dst).moves)
         try:
-            if args.budget is None:
-                best = bfs_optimal(graph, n, args.src, args.dst)
-            else:
-                best = bfs_optimal(graph, n, args.src, args.dst, budget=args.budget)
+            best = bfs_optimal(graph, n, args.src, args.dst, budget=args.budget)
         except BudgetError as exc:
             print(f"# stopped at n={n}: {exc}")
             break

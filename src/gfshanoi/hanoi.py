@@ -6,10 +6,13 @@ d-1 of ``piles[peg]`` is set while disk d (disk 1 is the smallest) is on
 that peg, so a peg's top disk is its lowest set bit.
 
 Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
-stars with center 1.  Each returns a ``MovePlan`` whose length matches the
-corresponding generalized Frame-Stewart number; ``validate_plan`` replays
-any plan against the rules and ``bfs_optimal`` computes the true optimum by
-exhaustive search.
+stars with center 1.  All three run one park / cross / unpark recursion
+that ends in one three-peg rule: a disk hops straight between adjacent
+pegs and otherwise goes through the third, the path's middle.  K3 is that
+rule with every pair adjacent.  Each planner returns a ``MovePlan`` whose
+length matches the corresponding generalized Frame-Stewart number;
+``validate_plan`` replays any plan against the rules and ``bfs_optimal``
+computes the true optimum by exhaustive search.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ class PegGraph:
         normalized: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in pairs:
+            label = f"edge {u}-{v}: peg label"
+            u, v = _at_least(u, 1, label), _at_least(v, 1, label)
             if u == v:
                 raise ParameterError(f"loop edge {u}-{v}")
             edge = (min(u, v), max(u, v))
@@ -108,39 +113,53 @@ class MovePlan:
     predicted_length: int
 
 
-def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> int:
-    """The disk count n >= 0 as an int, once src and dst are integer vertices of ``graph``."""
+def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> tuple[int, int, int]:
+    """(n, src, dst) as ints, once n >= 0 and src and dst are integer vertices of ``graph``."""
+    pegs = []
     for role, peg in (("source", src), ("destination", dst)):
         if peg not in range(1, graph.pegs + 1):
             raise ParameterError(f"{role} peg {peg} is not a vertex of {graph.name}")
-        _at_least(peg, 1, f"{role} peg")  # 2.0 == 2 lies in the range too
-    return _at_least(n, 0, "disk count")
+        pegs.append(_at_least(peg, 1, f"{role} peg"))  # 2.0 == 2 lies in the range too
+    return (_at_least(n, 0, "disk count"), *pegs)
 
 
-def _check_endpoints(graph: PegGraph, n: int, src: int, dst: int, leaves=None) -> int:
+def _check_endpoints(
+    graph: PegGraph, n: int, src: int, dst: int, leaves=None
+) -> tuple[int, int, int]:
     """Planner arguments: an instance with distinct endpoints (leaves of a star)."""
     for role, peg in (("source", src), ("destination", dst)):
         if leaves is not None and peg not in leaves:
             raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
-    n = _check_instance(graph, n, src, dst)
+    n, src, dst = _check_instance(graph, n, src, dst)
     if src == dst:
         raise ParameterError("source and destination pegs must differ")
-    return n
+    return n, src, dst
 
 
-def _classic3(m: int, a: int, b: int, spare: int, out: list[Move]) -> None:
+def _three(m: int, a: int, b: int, c: int, mid: int, out: list[Move]) -> None:
+    # Pegs a, b, c lie on a path whose middle peg is ``mid``; on K3, mid is
+    # 0, no peg, so every pair is an edge.  Adjacent pegs cost
+    # 2 G(m-1) + 1 moves, end to end through c costs 3 G(m-1) + 2.
     if m == 0:
         return
-    _classic3(m - 1, a, spare, b, out)
-    out.append(Move(a, b))
-    _classic3(m - 1, spare, b, a, out)
+    if c != mid:  # a - b is an edge: the rest wait on c
+        _three(m - 1, a, c, b, mid, out)
+        out.append(Move(a, b))
+        _three(m - 1, c, b, a, mid, out)
+    else:  # c is the middle: end to end through it
+        _three(m - 1, a, b, c, mid, out)
+        out.append(Move(a, c))
+        _three(m - 1, b, a, c, mid, out)
+        out.append(Move(c, b))
+        _three(m - 1, a, b, c, mid, out)
 
 
-def _split_moves(pegs, n: int, src: int, dst: int, family, base, choose_park) -> list[Move]:
-    """Park / cross / unpark on ``pegs``, realizing ``family(len(pegs))``.
+def _plan(graph: PegGraph, n: int, src: int, dst: int, family, mid: int, choose_park) -> MovePlan:
+    """Park / cross / unpark on ``graph``'s pegs, realizing ``family(graph.pegs)``.
 
-    The park peg is ``choose_park(spares)``; each (width, m) split is fetched
-    once per plan.  On three pegs ``base(m, a, b, spare, out)`` moves the pile.
+    ``family(width)`` is the parameter family on ``width`` pegs.  The park
+    peg is ``choose_park(spares)``; each (width, m) split is fetched once
+    per plan.  Three pegs move by ``_three`` with middle peg ``mid``.
     """
     moves: list[Move] = []
     splits: dict[tuple[int, int], int] = {}
@@ -150,7 +169,7 @@ def _split_moves(pegs, n: int, src: int, dst: int, family, base, choose_park) ->
             return
         spares = [p for p in pegs if p not in (a, b)]
         if len(pegs) == 3:
-            base(m, a, b, spares[0], moves)
+            _three(m, a, b, spares[0], mid, moves)
             return
         key = (len(pegs), m)
         if key not in splits:
@@ -161,8 +180,8 @@ def _split_moves(pegs, n: int, src: int, dst: int, family, base, choose_park) ->
         transfer(tuple(p for p in pegs if p != park), t, a, b)
         transfer(pegs, m - t, park, b)
 
-    transfer(pegs, n, src, dst)
-    return moves
+    transfer(tuple(range(1, graph.pegs + 1)), n, src, dst)
+    return MovePlan(graph, n, src, dst, moves, gfs_fast(family(graph.pegs), n))
 
 
 def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
@@ -172,41 +191,16 @@ def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     peg using all pegs, the t largest cross on the remaining k - 1 pegs,
     and the parked pile follows; t comes from ``optimal_split``.
     """
-    k = _at_least(k, 3, "peg count")
-    graph = PegGraph.complete(k)
-    n = _check_endpoints(graph, n, src, dst)
-    moves = _split_moves(tuple(range(1, k + 1)), n, src, dst, classic_params, _classic3, min)
-    return MovePlan(graph, n, src, dst, moves, gfs_fast(classic_params(k), n))
-
-
-def _path_transfer(n: int, frm: int, to: int, triple: tuple[int, int, int], out: list[Move]) -> None:
-    # Pegs are the fixed triple (left, mid, right); only left-mid and
-    # mid-right hops exist.  End-to-end costs 3^n - 1; a transfer that
-    # starts or ends on the middle costs (3^n - 1) / 2.
-    mid = triple[1]
-    if n == 0:
-        return
-    if mid in (frm, to):  # adjacent pegs: the rest wait on the third peg
-        other = sum(triple) - frm - to
-        _path_transfer(n - 1, frm, other, triple, out)
-        out.append(Move(frm, to))
-        _path_transfer(n - 1, other, to, triple, out)
-    else:  # end -> end
-        _path_transfer(n - 1, frm, to, triple, out)
-        out.append(Move(frm, mid))
-        _path_transfer(n - 1, to, frm, triple, out)
-        out.append(Move(mid, to))
-        _path_transfer(n - 1, frm, to, triple, out)
+    graph = PegGraph.complete(_at_least(k, 3, "peg count"))
+    return _plan(graph, *_check_endpoints(graph, n, src, dst), classic_params, 0, min)
 
 
 def plan_path3(n: int, src: int, dst: int) -> MovePlan:
     """Plan on the path 1 - 2 - 3 for any distinct source and destination."""
     graph = PegGraph.path3()
-    n = _check_endpoints(graph, n, src, dst)
-    moves: list[Move] = []
-    _path_transfer(n, src, dst, (1, 2, 3), moves)
+    n, src, dst = _check_endpoints(graph, n, src, dst)
     weight = 1 if 2 in (src, dst) else 2  # a middle endpoint halves the cost
-    return MovePlan(graph, n, src, dst, moves, gfs_fast(Params((3,), (weight,)), n))
+    return _plan(graph, n, src, dst, lambda pegs: Params((3,), (weight,)), 2, None)
 
 
 def star_params(leaves: int) -> Params:
@@ -226,14 +220,9 @@ def plan_star(k: int, n: int, src: int, dst: int) -> MovePlan:
     ``star_params`` family; it is an upper bound for the true optimum.
     """
     graph = PegGraph.star(k)
-    pegs = tuple(range(1, graph.pegs + 1))
-    n = _check_endpoints(graph, n, src, dst, leaves=pegs[1:])
+    checked = _check_endpoints(graph, n, src, dst, leaves=range(2, graph.pegs + 1))
     # The center is never the highest-numbered spare while a leaf is spare.
-    moves = _split_moves(
-        pegs, n, src, dst, lambda width: star_params(width - 1),
-        lambda m, a, b, center, out: _path_transfer(m, a, b, (a, center, b), out), max,
-    )
-    return MovePlan(graph, n, src, dst, moves, gfs_fast(star_params(k), n))
+    return _plan(graph, *checked, lambda pegs: star_params(pegs - 1), 1, max)
 
 
 def bfs_optimal(
@@ -245,7 +234,7 @@ def bfs_optimal(
     the memory.
     """
     budget = _at_least(budget, 1, "budget")
-    n = _check_instance(graph, n, src, dst)
+    n, src, dst = _check_instance(graph, n, src, dst)
     if n == 0 or src == dst:
         return 0
     k = graph.pegs
@@ -312,14 +301,14 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     Passes only if every move is legal, the final position has all disks on
     the destination, and the move count equals ``predicted_length``.
     """
-    graph, moves, dst = plan.graph, plan.moves, plan.dst
-    n = _check_instance(graph, plan.n, plan.src, dst)
+    graph, moves = plan.graph, plan.moves
+    n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
     # final check whenever src != dst.
     held = (1 << min(n, len(moves) + 1)) - 1
     piles = [0] * (graph.pegs + 1)
-    piles[plan.src] = held
+    piles[src] = held
     for index, (u, v) in enumerate(moves):
         top = piles[u] & -piles[u] if graph.has_edge(u, v) else None
         if top is None:

@@ -35,7 +35,7 @@ class Params:
     """Pairs (p_i, q_i) for peg counts i = 3 .. k.
 
     ``bases[0]`` is p_3 and ``weights[0]`` is q_3; all entries are positive
-    integers.
+    integers, stored as tuples of ``int`` whatever integer type came in.
     """
 
     bases: tuple[int, ...]
@@ -44,7 +44,9 @@ class Params:
     def __post_init__(self) -> None:
         if len(self.bases) != len(self.weights):
             raise ParameterError("bases and weights must pair up")
-        _positive_ints((*self.bases, *self.weights), "the p_i and q_i")
+        values = _positive_ints((*self.bases, *self.weights), "the p_i and q_i")
+        object.__setattr__(self, "bases", values[:len(self.bases)])
+        object.__setattr__(self, "weights", values[len(self.bases):])
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Params":

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import ast
 import hashlib
 import io
 import json
@@ -407,6 +408,24 @@ def test_readme_cli_contract(capsys, monkeypatch):
     code, out, _ = run(capsys, "plan", "--graph", "K4", "--n", "8", "--src", "1", "--dst", "4")
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     assert run(capsys, "validate") == (0, verdict + "\n", "")
+
+
+def test_readme_library_example():
+    # README's "Library in one minute" names are fixed; each commented
+    # expression there must evaluate to the value its comment starts with.
+    block = re.search(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    lines = block.splitlines()
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        assert re.match(re.escape(repr(value)) + r"(\D|$)", comment), (comment, value)
+        values.append(value)
+    assert values == [49, 49, [1, 2, 2, 4, 4, 4], 4, 49, True, 13]
 
 
 def test_help_exits_0(capsys):

@@ -176,6 +176,24 @@ def test_domain_errors():
             table.value(n, i)
 
 
+class Index:
+    """An integer type that offers nothing but ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_params_store_plain_ints():
+    # Params keeps the ints the integer rule returns, so the recurrence
+    # multiplies Python ints and stays exact past 2**64.
+    params = Params((Index(2),), (Index(1),))
+    assert [type(v) for v in params.bases + params.weights] == [int, int]
+    assert gfs_oracle(params, 70) == gfs_fast(params, 70) == 2**70 - 1
+
+
 def test_fast_route_memory_is_bounded():
     # The stream keeps only terms whose p-multiple is still to come, not
     # every term it has emitted; a unit base below a larger one never

@@ -19,7 +19,7 @@ from gfshanoi.hanoi import (
     star_params,
     validate_plan,
 )
-from gfshanoi.planfile import serialize_plan
+from gfshanoi.planfile import parse_plan, serialize_plan
 from gfshanoi.smooth import ParameterError
 
 
@@ -282,3 +282,32 @@ def test_plan_bytes_are_pinned():
     assert digest.hexdigest() == (
         "b5ea5f685b3714baaa1400e7592ba4039ba1fcd9d5cb41b1c8efc55b6be24588"
     )
+
+
+def test_three_peg_plan_bytes_are_pinned():
+    # The three-peg rule's move order on K3, on every P3 endpoint pair (only
+    # there do the end and middle branches meet) and on S2 both ways.
+    digest = hashlib.sha256()
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    for n in range(15):
+        for src, dst in pairs:
+            digest.update(serialize_plan(plan_complete(3, n, src, dst)).encode())
+    for n in range(11):
+        for src, dst in pairs:
+            digest.update(serialize_plan(plan_path3(n, src, dst)).encode())
+    for n in range(11):
+        for src, dst in ((2, 3), (3, 2)):
+            digest.update(serialize_plan(plan_star(2, n, src, dst)).encode())
+    assert digest.hexdigest() == (
+        "c4a3cf236bf2f1f80cd51a73ad9b845a7adc1f0d6fdf23f45555b415f8791a7c"
+    )
+
+
+def test_plans_and_graphs_store_plain_ints():
+    # True passes the integer rule as 1; what is stored and written is 1.
+    plan = plan_complete(3, 1, True, 3)
+    assert (type(plan.src), plan.src, plan.moves) == (int, 1, [Move(1, 3)])
+    text = serialize_plan(plan)
+    assert text == "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>3\n"
+    assert serialize_plan(parse_plan(text)) == text
+    assert PegGraph.from_edges(3, [(True, 2), (2, 3)]).name == "edges:1-2,2-3"

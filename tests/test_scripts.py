@@ -22,6 +22,14 @@ def test_star_gap_report_rows():
     assert proc.stdout.splitlines()[-3:] == ["1 2 2 0", "2 6 6 0", "3 12 12 0"]
 
 
+def test_star_gap_report_stops_at_the_budget():
+    proc = run_script("star_gap_report.py", "--leaves", "3", "--max-n", "6", "--budget", "1000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[2:] == [
+        "1 2 2 0", "2 6 6 0", "3 12 12 0", "4 20 20 0",
+        "# stopped at n=5: 4**5 states exceed the budget of 1000"]
+
+
 @pytest.mark.parametrize("args", [("--budget", "0", "--max-n", "2"), ("--leaves", "1"),
                                   ("--src", "1")], ids=["budget-0", "leaves-1", "src-1"])
 def test_star_gap_report_refusals(args):
