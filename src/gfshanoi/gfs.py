@@ -10,7 +10,9 @@ with G_k(0) = 0.  Three independent routes to the same values live here:
 * ``gfs_oracle`` / ``GfsTable`` -- direct dynamic programming over the
   recurrence (ground truth, O(k n^2) big-int work);
 * ``gfs_fast`` -- the weight product times a prefix sum of the smooth
-  stream (O(k n));
+  stream, walked run by run: a run of m equal values adds m times its
+  value, so the cost follows the distinct values below the n-th term, not
+  n itself;
 * ``constant_case_closed_form`` -- a binomial closed form for equal bases
   and unit weights.
 
@@ -21,16 +23,18 @@ agreement between them is a meaningful cross-check rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from math import comb
+from typing import Iterable
 
 from .smooth import (
     ParameterError,
     Params,
     _at_least,
     _binomial_level,
-    smooth_iter,
-    split_indices_up_to,
+    _runs,
+    _split_bases,
+    _split_blocks,
 )
 
 
@@ -100,30 +104,45 @@ def gfs_oracle(params: Params, n: int) -> int:
     return GfsTable.build(params, n).value(n)
 
 
+def _value_runs(bases: tuple[int, ...], n: int) -> Iterable[tuple[int, int, int]]:
+    """The stream's ``(value, m, m_sub)`` runs, covering at least n positions."""
+    # A unit base makes every value 1: one run of n ones covers them.
+    return ((1, n, 0),) if 1 in bases else _runs(bases)
+
+
+def _sum_and_last(bases: tuple[int, ...], n: int) -> tuple[int, int]:
+    """The sum of the first n stream values and the n-th of them (1 for n = 0)."""
+    total = 0
+    for value, m, _ in _value_runs(bases, n):
+        if m >= n:
+            break
+        total += m * value
+        n -= m
+    return total + n * value, value
+
+
 def gfs_prefix(params: Params, n_max: int) -> list[int]:
     """[G_k(0), ..., G_k(n_max)] via the prefix-sum identity."""
     n_max = _at_least(n_max, 0, "n_max")
     q = params.q
-    out = [0] * (n_max + 1)
-    acc = 0
-    for n, term in enumerate(islice(smooth_iter(params.bases), n_max), start=1):
-        acc += term.value
-        out[n] = q * acc
-    return out
+    runs = _value_runs(params.bases, n_max)
+    values = chain.from_iterable(repeat(value, m) for value, m, _ in runs)
+    return [q * total for total in accumulate(islice(values, n_max), initial=0)]
 
 
 def gfs_fast(params: Params, n: int) -> int:
-    """G_k(n) as the weight product times the n-term stream prefix sum."""
-    acc = 0
-    for term in islice(smooth_iter(params.bases), _at_least(n, 0, "n")):
-        acc += term.value
-    return params.q * acc
+    """G_k(n) as the weight product times the n-term stream prefix sum.
+
+    The sum walks the stream's runs of equal values (``smooth._runs``), a
+    run of m values v adding m * v at once, so the cost follows the number
+    of distinct values up to the n-th term rather than n.
+    """
+    return params.q * _sum_and_last(params.bases, _at_least(n, 0, "n"))[0]
 
 
 def gfs_diff(params: Params, n: int) -> int:
     """G_k(n) - G_k(n-1), i.e. the weight product times the n-th stream value."""
-    term = next(islice(smooth_iter(params.bases), _at_least(n, 1, "n") - 1, None))
-    return params.q * term.value
+    return params.q * _sum_and_last(params.bases, _at_least(n, 1, "n"))[1]
 
 
 def optimal_split(params: Params, n: int) -> int:
@@ -132,8 +151,16 @@ def optimal_split(params: Params, n: int) -> int:
     Returns the j with k_j <= n < k_{j+1} in the split-index sequence,
     which is defined for k >= 4 and every base >= 2 (``split_index_iter``
     refuses the rest); outside that regime use the table's argmin instead.
+    The split indices come in blocks of consecutive positions, one block per
+    run of equal stream values, so j is counted at O(1) cost per run.
     """
-    return len(split_indices_up_to(params.bases, _at_least(n, 1, "n")))
+    n = _at_least(n, 1, "n")
+    count = 0
+    for first, size in _split_blocks(_split_bases(params.bases)):
+        if first > n:
+            break
+        count += min(size, n + 1 - first)
+    return count
 
 
 def constant_case_closed_form(p: int, k: int, n: int) -> int:

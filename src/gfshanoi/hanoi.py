@@ -17,6 +17,7 @@ computes the true optimum by exhaustive search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -113,11 +114,23 @@ class MovePlan:
     predicted_length: int
 
 
+def _label(peg: int) -> int:
+    """``peg`` as an int when it is an integer, else ``peg`` itself.
+
+    ``range.__contains__`` compares anything but an int by ``==``, so an
+    integer type with only ``__index__`` is converted before a range test.
+    """
+    try:
+        return operator.index(peg)
+    except TypeError:
+        return peg
+
+
 def _check_instance(graph: PegGraph, n: int, src: int, dst: int) -> tuple[int, int, int]:
     """(n, src, dst) as ints, once n >= 0 and src and dst are integer vertices of ``graph``."""
     pegs = []
     for role, peg in (("source", src), ("destination", dst)):
-        if peg not in range(1, graph.pegs + 1):
+        if _label(peg) not in range(1, graph.pegs + 1):
             raise ParameterError(f"{role} peg {peg} is not a vertex of {graph.name}")
         pegs.append(_at_least(peg, 1, f"{role} peg"))  # 2.0 == 2 lies in the range too
     return (_at_least(n, 0, "disk count"), *pegs)
@@ -128,7 +141,7 @@ def _check_endpoints(
 ) -> tuple[int, int, int]:
     """Planner arguments: an instance with distinct endpoints (leaves of a star)."""
     for role, peg in (("source", src), ("destination", dst)):
-        if leaves is not None and peg not in leaves:
+        if leaves is not None and _label(peg) not in leaves:
             raise ParameterError(f"{role} peg {peg} is not a leaf of {graph.name}")
     n, src, dst = _check_instance(graph, n, src, dst)
     if src == dst:

@@ -6,6 +6,12 @@ non-decreasing value order, one term per vector.  Distinct vectors with the
 same value all appear, and equal values are emitted in ascending
 lexicographic order of the exponent vector, so every dump is reproducible.
 
+Equal values form a run whose length is the number of exponent vectors
+with that value.  The number routes (``gfs_fast``, ``optimal_split`` and the
+split indices) walk these runs through ``_runs`` and never build a vector;
+``_merge`` serves the exponent vectors of ``smooth_iter`` and, in the
+tests, is the term-level check on the runs.
+
 The index origin is 3 throughout: the first base/weight pair belongs to the
 3-peg level, the next to the 4-peg level, and so on, which puts
 ``k = len(bases) + 2``.
@@ -159,6 +165,49 @@ def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
     return list(islice(smooth_iter(bases), _at_least(count, 0, "count")))
 
 
+def _runs(bases: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """``(value, m, m_sub)`` for each distinct stream value, increasing.
+
+    ``m`` counts the exponent vectors with that value and ``m_sub`` those
+    with a zero last exponent, i.e. the part of the run that the stream over
+    ``bases[:-1]`` supplies.  Every base is >= 2.
+    """
+    # runs(bases) = merge(runs(bases[:-1]), p * runs(bases)), adding the
+    # counts where both branches reach one value; over no bases the stream
+    # is the single run (1, 1).  ``values`` and ``counts`` hold the emitted
+    # runs whose p-multiple is not out yet (two deques of ints take half
+    # the memory of one deque of pairs), and (shift, shift_m) is the
+    # shifted branch's next run, made from their heads.
+    p = bases[-1]
+    sub = _runs(bases[:-1]) if len(bases) > 1 else iter(((1, 1, 1),))
+    values: deque[int] = deque()
+    counts: deque[int] = deque()
+    _, m, _ = next(sub)  # value 1, which the shifted branch never reaches
+    shift, shift_m = p, m
+    yield 1, m, m
+    for value, m_sub, _ in sub:
+        while shift < value:
+            values.append(shift)
+            counts.append(shift_m)
+            yield shift, shift_m, 0
+            shift, shift_m = values.popleft() * p, counts.popleft()
+        if shift == value:
+            m = shift_m + m_sub
+            values.append(value)
+            counts.append(m)
+            yield value, m, m_sub
+            shift, shift_m = values.popleft() * p, counts.popleft()
+        else:
+            values.append(value)
+            counts.append(m_sub)
+            yield value, m_sub, m_sub
+    while True:  # the stream over no bases has ended
+        values.append(shift)
+        counts.append(shift_m)
+        yield shift, shift_m, 0
+        shift, shift_m = values.popleft() * p, counts.popleft()
+
+
 def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
     """Unbounded iterator of split indices k_1 < k_2 < ...
 
@@ -166,25 +215,33 @@ def split_index_iter(bases: Sequence[int]) -> Iterator[int]:
     full stream's value equals the j-th value of the stream over
     ``bases[:-1]``.  Needs at least two bases, all >= 2.
     """
+    return (index for first, size in _split_blocks(_split_bases(bases))
+            for index in range(first, first + size))
+
+
+def _split_bases(bases: Sequence[int]) -> tuple[int, ...]:
+    """``bases`` as ints, once there are at least two and none is 1."""
     checked = _positive_ints(bases, "bases")
     if len(checked) < 2:
         raise ParameterError("split indices need at least two bases")
     if 1 in checked:
         raise UnsupportedRegimeError("split indices are defined only when every base is >= 2")
-    return _split_iter(checked)
+    return checked
 
 
-def _split_iter(bases: tuple[int, ...]) -> Iterator[int]:
+def _split_blocks(bases: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """``(first, size)`` per run holding sub-stream terms: the split indices
+    ``first, ..., first + size - 1``, in increasing order."""
     # The stream over bases[:-1] is the full stream's terms with a zero last
-    # exponent, in order, so k_j is the first position of that term's value
-    # run, or k_{j-1} + 1 if that comes later.
-    split = run_start = run_value = 0  # no stream value is 0
-    for pos, (value, exponents) in enumerate(smooth_iter(bases), start=1):
-        if value != run_value:
-            run_value, run_start = value, pos
-        if exponents[-1] == 0:
-            split = max(run_start, split + 1)
-            yield split
+    # exponent, in order.  Its m_sub terms of value v lie inside v's run of
+    # m >= m_sub full-stream positions, and the index before them lies in an
+    # earlier run, so a run that starts at position s holds the split
+    # indices s, s + 1, ..., s + m_sub - 1.
+    start = 1
+    for _, m, m_sub in _runs(bases):
+        if m_sub:
+            yield start, m_sub
+        start += m
 
 
 def split_indices(bases: Sequence[int], count: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Unit tests for the number computations: oracle, fast route, splits."""
 
+import random
 import tracemalloc
+from itertools import accumulate, islice
 from math import comb
 
 import pytest
@@ -17,7 +19,14 @@ from gfshanoi.gfs import (
     gfs_prefix,
     optimal_split,
 )
-from gfshanoi.smooth import ParameterError, Params, UnsupportedRegimeError
+from gfshanoi.smooth import (
+    ParameterError,
+    Params,
+    UnsupportedRegimeError,
+    constant_p_term,
+    smooth_iter,
+    split_indices_up_to,
+)
 from oracles import brute_gfs
 
 
@@ -194,15 +203,78 @@ def test_params_store_plain_ints():
     assert gfs_oracle(params, 70) == gfs_fast(params, 70) == 2**70 - 1
 
 
+def _term_answers(bases, n):
+    """Prefix sums, values and the split indices <= n, from stream terms alone.
+
+    Split indices follow their definition: k_j is the first position after
+    k_{j-1} where the full stream's value equals value j of the stream over
+    ``bases[:-1]``.
+    """
+    values = [term.value for term in islice(smooth_iter(bases), n)]
+    indices = []
+    if len(bases) > 1 and 1 not in bases:
+        pos = 0
+        for target in (term.value for term in islice(smooth_iter(bases[:-1]), n)):
+            while pos < n and values[pos] != target:
+                pos += 1
+            if pos == n:
+                break
+            pos += 1
+            indices.append(pos)
+    return list(accumulate(values, initial=0)), values, indices
+
+
+def test_runs_match_the_terms():
+    # The number routes walk runs of equal values; the terms of smooth_iter
+    # come from the separate exponent-vector merge.  Dependent and repeated
+    # bases make both merge branches reach one value.
+    rng = random.Random(9)
+    families = [(2, 4), (4, 2), (3, 9), (2, 2, 4), (2, 2, 3, 3), (1, 2), (2, 1, 3)]
+    families += [tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 5))) for _ in range(40)]
+    for bases in families:
+        params = Params(bases, tuple(rng.randint(1, 4) for _ in bases))
+        q = params.q
+        sums, values, indices = _term_answers(bases, 333)
+        assert gfs_prefix(params, 333) == [q * total for total in sums], bases
+        for n in (0, 1, 2, 7, 50, 333):
+            assert gfs_fast(params, n) == q * sums[n], (bases, n)
+            if n == 0:
+                continue
+            assert gfs_diff(params, n) == q * values[n - 1], (bases, n)
+            if len(bases) > 1 and 1 not in bases:
+                below = [index for index in indices if index <= n]
+                assert split_indices_up_to(bases, n) == below, (bases, n)
+                assert optimal_split(params, n) == len(below), (bases, n)
+
+
+def test_run_walk_reaches_a_billion():
+    # Classic K8 has few distinct values below its billionth term, and the
+    # run walk visits each once; the term walk would take 10**9 steps.
+    n = 10**9
+    assert gfs_fast(classic_params(8), n) == constant_case_closed_form(2, 8, n)
+    assert gfs_diff(classic_params(8), n) == constant_p_term(2, 8, n)
+
+
 def test_fast_route_memory_is_bounded():
-    # The stream keeps only terms whose p-multiple is still to come, not
+    # The stream keeps only the runs whose p-multiple is still to come, not
     # every term it has emitted; a unit base below a larger one never
-    # reaches a p-multiple at all.
-    for params in (classic_params(4), Params((1, 2), (1, 1)), Params((2, 1, 3), (1, 1, 1))):
-        tracemalloc.start()
-        try:
-            gfs_fast(params, 100_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000, params
+    # reaches a p-multiple at all.  Repeated and dependent bases have long
+    # runs, so few of them are held.
+    cases = [
+        (classic_params(4), 2_000_000),
+        (Params((1, 2), (1, 1)), 2_000_000),
+        (Params((2, 1, 3), (1, 1, 1)), 2_000_000),
+        (Params((2, 2, 3, 3), (1, 1, 1, 1)), 500_000),
+        (Params((2, 4), (1, 1)), 500_000),
+        (Params((2, 3, 5, 7), (1, 1, 1, 1)), 2_000_000),
+    ]
+    for params, bound in cases:
+        routes = (gfs_fast,) if 1 in params.bases else (gfs_fast, optimal_split)
+        for route in routes:
+            tracemalloc.start()
+            try:
+                route(params, 100_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (params, route.__name__, peak)

@@ -311,3 +311,40 @@ def test_plans_and_graphs_store_plain_ints():
     assert text == "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n1>3\n"
     assert serialize_plan(parse_plan(text)) == text
     assert PegGraph.from_edges(3, [(True, 2), (2, 3)]).name == "edges:1-2,2-3"
+
+
+class Label:
+    """An integer type that offers nothing but ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Label({self.value})"
+
+
+def test_index_only_pegs_are_accepted():
+    # A peg label passes the integer rule before its range test, as a disk
+    # count or a peg count does; what is stored is the plain int.
+    plan = plan_complete(3, 1, Label(1), Label(3))
+    assert (type(plan.src), plan.src, type(plan.dst), plan.dst) == (int, 1, int, 3)
+    assert plan.moves == [Move(1, 3)]
+    assert bfs_optimal(PegGraph.complete(3), 1, Label(1), 3) == 1
+    assert len(plan_star(3, 2, Label(2), Label(4)).moves) == len(plan_star(3, 2, 2, 4).moves)
+    assert validate_plan(MovePlan(PegGraph.path3(), 1, Label(1), Label(2), [Move(1, 2)], 1)).ok
+    # refusals keep their wording, whatever the type
+    refusals = [(lambda peg: plan_complete(3, 1, peg, 3), peg, f"source peg {message}")
+                for peg, message in ((0, "0 is not a vertex of K3"),
+                                     (4, "4 is not a vertex of K3"),
+                                     (2.5, "2.5 is not a vertex of K3"),
+                                     (2.0, "must be an integer"),
+                                     (Label(4), "Label(4) is not a vertex of K3"))]
+    refusals += [(lambda peg: plan_star(3, 1, peg, 3), peg, f"source peg {peg!r} is not a leaf of S3")
+                 for peg in (0, 1, Label(1))]
+    for call, peg, message in refusals:
+        with pytest.raises(ParameterError) as refused:
+            call(peg)
+        assert str(refused.value) == message
