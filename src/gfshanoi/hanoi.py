@@ -10,7 +10,8 @@ stars with center 1.  All three run one park / cross / unpark recursion
 that ends in one three-peg rule: a disk hops straight between adjacent
 pegs and otherwise goes through the third, the path's middle.  K3 is that
 rule with every pair adjacent.  Each planner returns a ``MovePlan`` whose
-length matches the corresponding generalized Frame-Stewart number;
+length matches the corresponding generalized Frame-Stewart number, and
+whose moves share one ``Move`` object per ordered edge of the graph;
 ``validate_plan`` replays any plan against the rules and ``bfs_optimal``
 computes the true optimum by exhaustive search.
 """
@@ -149,22 +150,23 @@ def _check_endpoints(
     return n, src, dst
 
 
-def _three(m: int, a: int, b: int, c: int, mid: int, out: list[Move]) -> None:
+def _three(m: int, a: int, b: int, c: int, mid: int, out: list[Move], arcs) -> None:
     # Pegs a, b, c lie on a path whose middle peg is ``mid``; on K3, mid is
     # 0, no peg, so every pair is an edge.  Adjacent pegs cost
     # 2 G(m-1) + 1 moves, end to end through c costs 3 G(m-1) + 2.
+    # ``arcs[u][v]`` is the plan's one ``Move(u, v)``.
     if m == 0:
         return
     if c != mid:  # a - b is an edge: the rest wait on c
-        _three(m - 1, a, c, b, mid, out)
-        out.append(Move(a, b))
-        _three(m - 1, c, b, a, mid, out)
+        _three(m - 1, a, c, b, mid, out, arcs)
+        out.append(arcs[a][b])
+        _three(m - 1, c, b, a, mid, out, arcs)
     else:  # c is the middle: end to end through it
-        _three(m - 1, a, b, c, mid, out)
-        out.append(Move(a, c))
-        _three(m - 1, b, a, c, mid, out)
-        out.append(Move(c, b))
-        _three(m - 1, a, b, c, mid, out)
+        _three(m - 1, a, b, c, mid, out, arcs)
+        out.append(arcs[a][c])
+        _three(m - 1, b, a, c, mid, out, arcs)
+        out.append(arcs[c][b])
+        _three(m - 1, a, b, c, mid, out, arcs)
 
 
 def _plan(graph: PegGraph, n: int, src: int, dst: int, family, mid: int, choose_park) -> MovePlan:
@@ -172,9 +174,13 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, mid: int, choose_
 
     ``family(width)`` is the parameter family on ``width`` pegs.  The park
     peg is ``choose_park(spares)``; each (width, m) split is fetched once
-    per plan.  Three pegs move by ``_three`` with middle peg ``mid``.
+    per plan.  Three pegs move by ``_three`` with middle peg ``mid``, and
+    every move is one of the 2|E| ``Move`` objects in ``arcs``.
     """
     moves: list[Move] = []
+    arcs: list[dict[int, Move]] = [{} for _ in range(graph.pegs + 1)]
+    for u, v in graph.edges:
+        arcs[u][v], arcs[v][u] = Move(u, v), Move(v, u)
     splits: dict[tuple[int, int], int] = {}
 
     def transfer(pegs: tuple[int, ...], m: int, a: int, b: int) -> None:
@@ -182,7 +188,7 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, mid: int, choose_
             return
         spares = [p for p in pegs if p not in (a, b)]
         if len(pegs) == 3:
-            _three(m, a, b, spares[0], mid, moves)
+            _three(m, a, b, spares[0], mid, moves, arcs)
             return
         key = (len(pegs), m)
         if key not in splits:
@@ -316,14 +322,16 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     """
     graph, moves = plan.graph, plan.moves
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
+    arcs = graph.edges.union([(v, u) for u, v in graph.edges])
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
     # final check whenever src != dst.
     held = (1 << min(n, len(moves) + 1)) - 1
     piles = [0] * (graph.pegs + 1)
     piles[src] = held
-    for index, (u, v) in enumerate(moves):
-        top = piles[u] & -piles[u] if graph.has_edge(u, v) else None
+    for index, move in enumerate(moves):
+        u, v = move
+        top = piles[u] & -piles[u] if move in arcs else None
         if top is None:
             failure = f"not-an-edge: no edge {u}-{v} in {graph.name}"
         elif not top:

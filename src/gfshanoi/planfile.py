@@ -10,8 +10,15 @@ A plan file is one header line followed by one move per line::
 The graph token is a named graph (``K4``, ``P3``, ``S3``) or an explicit
 edge list spelled ``edges:1-2,2-3`` (commas, not semicolons, because the
 header uses ``;`` to separate fields).  ``predicted`` is a decimal integer
-of any size.  Trailing blank lines are tolerated; anything else is a
-``ParseError``.
+of up to Python's int/str conversion limit (4,300 digits unless
+``PYTHONINTMAXSTRDIGITS`` or ``sys.set_int_max_str_digits`` changes it); a
+longer header number is a ``ParseError`` that names its field.  Trailing
+blank lines are tolerated; anything else is a ``ParseError``.
+
+A plan body repeats a few distinct lines (at most one per ordered edge
+when a planner wrote it), so ``parse_plan`` matches each distinct line
+once and maps the body through the result, and ``serialize_plan`` formats
+each distinct move once.
 """
 
 from __future__ import annotations
@@ -92,9 +99,9 @@ def serialize_plan(plan: MovePlan) -> str:
         f"{HEADER_MAGIC}; graph={plan.graph.name}; k={plan.graph.pegs}; "
         f"n={plan.n}; src={plan.src}; dst={plan.dst}; predicted={plan.predicted_length}"
     )
-    lines = [header]
-    lines.extend(f"{move.from_peg}>{move.to_peg}" for move in plan.moves)
-    return "\n".join(lines) + "\n"
+    # Moves that compare equal share the text of the first one written.
+    text = {move: f"{move.from_peg}>{move.to_peg}" for move in set(plan.moves)}
+    return "\n".join([header, *map(text.__getitem__, plan.moves)]) + "\n"
 
 
 def parse_plan(text: str) -> MovePlan:
@@ -118,7 +125,14 @@ def parse_plan(text: str) -> MovePlan:
     for key in _HEADER_KEYS[1:]:
         if not _DECIMAL_RE.fullmatch(values[key]):
             raise ParseError(f"header field {key}={values[key]!r} is not a decimal integer")
-    pegs, n, src, dst, predicted = (int(values[key]) for key in _HEADER_KEYS[1:])
+    numbers = []
+    for key in _HEADER_KEYS[1:]:
+        try:
+            numbers.append(int(values[key]))
+        except ValueError:  # the digits passed above, so only the int/str limit is left
+            raise ParseError(f"header field {key} has {len(values[key])} digits, more than "
+                             "Python's int/str conversion limit") from None
+    pegs, n, src, dst, predicted = numbers
 
     token = values["graph"]
     edge_match = _EDGE_LIST_RE.match(token)
@@ -132,10 +146,21 @@ def parse_plan(text: str) -> MovePlan:
         if not 1 <= peg <= pegs:
             raise ParseError(f"{key}={peg} is not a peg of {token}")
 
-    moves = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    # A plan repeats a few distinct lines, so each one is matched once; the
+    # first line in file order that is no move is the one reported.
+    body = lines[1:]
+    move_of: dict[str, Move] = {}
+    for line in set(body):
         m = _MOVE_RE.match(line.strip())
-        if not m:
-            raise ParseError(f"line {lineno}: bad move {line!r}")
-        moves.append(Move(int(m.group(1)), int(m.group(2))))
+        if m:
+            try:
+                move_of[line] = Move(int(m.group(1)), int(m.group(2)))
+            except ValueError:  # a label past the int/str limit is no peg
+                pass
+    try:
+        moves = list(map(move_of.__getitem__, body))
+    except KeyError:
+        for lineno, line in enumerate(body, start=2):
+            if line not in move_of:
+                raise ParseError(f"line {lineno}: bad move {line!r}") from None
     return MovePlan(graph, n, src, dst, moves, predicted)

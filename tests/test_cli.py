@@ -4,6 +4,7 @@ import ast
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -260,6 +261,18 @@ def test_malformed_input_exits_4(tmp_path, capsys, source):
     code, _, err = run(capsys, *source)
     assert code == 4
     assert err.startswith("error: ")
+
+
+def test_validate_refuses_a_predicted_past_the_int_limit():
+    # The header's digits are valid, so only Python's int/str conversion
+    # limit (its default, 4,300 digits, here) stands between them and an int.
+    text = "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=" + "9" * 5000 + "\n1>3\n"
+    proc = subprocess.run([sys.executable, "-m", "gfshanoi", "validate"], input=text,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", (
+        "error: header field predicted has 5000 digits, more than Python's int/str "
+        "conversion limit\n"))
 
 
 def test_plan_rejects_custom_graphs(capsys):

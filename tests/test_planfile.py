@@ -1,6 +1,10 @@
+import sys
+import tracemalloc
+
 import pytest
 
-from gfshanoi.hanoi import Move, MovePlan, PegGraph, plan_complete
+from gfshanoi.hanoi import (Move, MovePlan, PegGraph, plan_complete, plan_path3, plan_star,
+                            validate_plan)
 from gfshanoi.planfile import (
     ParseError,
     graph_by_name,
@@ -79,3 +83,96 @@ def test_parse_graph_spec():
     for bad in ("4; 1-2,2-3,9-4", "x; 1-2", "3; ", "3; 1-2", "3; 1-2,1-2,2-3", "4; 1+2"):
         with pytest.raises(ParseError):
             parse_graph_spec(bad)
+
+
+def test_round_trip_keeps_every_pinned_plan():
+    # The planner cases whose bytes test_hanoi pins by digest.
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    plans = [plan_complete(k, n, src, dst)
+             for k in range(4, 8) for n in range(31) for src, dst in ((1, k), (k, 2))]
+    plans += [plan_star(leaves, n, src, dst) for leaves in range(3, 6) for n in range(21)
+              for src, dst in ((2, leaves + 1), (leaves + 1, 3))]
+    plans += [plan_complete(3, n, src, dst) for n in range(15) for src, dst in pairs]
+    plans += [plan_path3(n, src, dst) for n in range(11) for src, dst in pairs]
+    plans += [plan_star(2, n, src, dst) for n in range(11) for src, dst in ((2, 3), (3, 2))]
+    for plan in plans:
+        assert parse_plan(serialize_plan(plan)).moves == plan.moves
+
+
+def test_the_first_bad_line_in_file_order_is_reported():
+    head = "hanoi-plan v1; graph=K3; k=3; n=2; src=1; dst=3; predicted=3\n"
+    for body, message in (
+        ("1>2\n1->3\n2>3\nx\n", "line 3: bad move '1->3'"),
+        ("1>2\nx\n2>3\n1->3\n", "line 3: bad move 'x'"),
+        ("1>2\n1->3\n1>3\n1->3\n", "line 3: bad move '1->3'"),
+        ("1>2\n\n1>3\n\n2>3\n", "line 3: bad move ''"),
+    ):
+        with pytest.raises(ParseError) as refused:
+            parse_plan(head + body)
+        assert str(refused.value) == message
+
+
+def test_move_lines_keep_the_regex_rule():
+    head = "hanoi-plan v1; graph=K3; k=3; n=1; src=1; dst=3; predicted=1\n"
+    for line in (" 1>3", "1>3 ", "01>3", "1>3\r", "\t001>0003 "):
+        plan = parse_plan(head + line + "\n")
+        assert plan.moves == [Move(1, 3)]
+        assert validate_plan(plan).ok
+    plan = parse_plan(head + "9>1\n")
+    assert plan.moves == [Move(9, 1)]
+    report = validate_plan(plan)
+    assert (report.ok, report.failure_index) == (False, 0)
+    assert report.failure == "move 0 (9>1): not-an-edge: no edge 9-1 in K3"
+
+
+def test_equal_moves_share_one_text():
+    # A plan built by hand may mix labels that compare equal; each move
+    # is written with the text of the first equal move in the plan.
+    graph = PegGraph.complete(3)
+    moves = [Move(True, 3), Move(3, 1), Move(1, 3)]
+    for order, body in ((moves, "True>3\n3>1\nTrue>3\n"), (moves[::-1], "1>3\n3>1\n1>3\n")):
+        assert serialize_plan(MovePlan(graph, 1, 1, 3, order, 3)).split("\n", 1)[1] == body
+
+
+def test_plans_hold_one_move_per_edge():
+    # 65,535 moves: one Move each would take about 4.5 MB.
+    tracemalloc.start()
+    try:
+        plan = plan_complete(3, 16, 1, 3)
+        planned = tracemalloc.get_traced_memory()[1]
+        text = serialize_plan(plan)
+        del plan
+        before = tracemalloc.get_traced_memory()[0]
+        back = parse_plan(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back.moves) == 2**16 - 1
+    assert planned < 1.5e6
+    assert held < 1.5e6
+
+
+@pytest.fixture
+def int_limit():
+    """Python's default int/str conversion limit, 4,300 digits, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_header_numbers_past_the_int_limit_are_parse_errors(int_limit):
+    head = "hanoi-plan v1; graph=K3; k=3; n={}; src=1; dst=3; predicted={}\n1>3\n"
+    for n, predicted, message in (
+        ("1", "9" * 5000, "header field predicted has 5000 digits"),
+        ("1" * 4301, "1", "header field n has 4301 digits"),
+    ):
+        with pytest.raises(ParseError) as refused:
+            parse_plan(head.format(n, predicted))
+        assert str(refused.value) == f"{message}, more than Python's int/str conversion limit"
+    assert parse_plan(head.format(1, "9" * 4300)).predicted_length == 10**4300 - 1
+    # A move label past the limit is no peg: reported in file order like any bad move.
+    body = "1>3\n" + "9" * 5000 + ">1\n1->2\n"
+    with pytest.raises(ParseError) as refused:
+        parse_plan(head.format(1, 1).replace("1>3\n", body))
+    assert str(refused.value).startswith("line 3: bad move '9999")
