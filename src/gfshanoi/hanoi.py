@@ -249,6 +249,13 @@ def bfs_optimal(
 ) -> int:
     """Exact minimum move count by breadth-first search over all states.
 
+    When swapping ``src`` and ``dst`` maps every edge onto an edge, that
+    swap σ is a symmetry of the graph taking the start to the goal, so a
+    state x lies as far from the goal as σ(x) lies from the start.  The
+    search then stops where the two halves of an optimal path meet, at
+    layer ⌈D/2⌉ of an optimum of D moves; on other graphs it runs until it
+    reaches the goal.  Either way the answer is exact.
+
     Raises BudgetError when pegs**n exceeds ``budget`` instead of eating
     the memory.
     """
@@ -262,7 +269,8 @@ def bfs_optimal(
         raise BudgetError(f"{k}**{n} states exceed the budget of {budget}")
     # Breadth-first search by layers (faster techniques: Korf & Felner,
     # IJCAI 2007).  A state is its piles with slot 0 holding its base-k code,
-    # digit d-1 naming disk d's peg - 1; the code indexes ``seen``.
+    # digit d-1 naming disk d's peg - 1; the code indexes ``seen``, which
+    # marks a state of layer r with 1 + r % 2.
     weights = [k**d for d in range(n)]
     ones = sum(weights)
     goal = (dst - 1) * ones
@@ -271,12 +279,28 @@ def bfs_optimal(
     start[0] = (src - 1) * ones
     start[src] = (1 << n) - 1
     seen[start[0]] = 1
+    sigma = list(range(k + 1))
+    sigma[src], sigma[dst] = dst, src
+    mirrored = all(graph.has_edge(sigma[u], sigma[v]) for u, v in graph.edges)
+    if mirrored:
+        # The last slot holds the code of σ(state); σ(start) is the goal.  A
+        # new state x of layer r with σ(x) in layer r - 1 closes a path of
+        # 2r - 1 moves, and σ(x) in layer r (x itself when σ fixes it) one
+        # of 2r, taken once the layer holds no shorter one.  An optimal path
+        # of D moves meets this way at its midpoint, in layer ⌈D/2⌉, and
+        # every meeting closes a path, so the first one gives D.  A mark
+        # from layer r - 2 or earlier would close a path of at most 2r - 2
+        # moves, which met before layer r, so a mark's parity is enough.
+        start.append(goal)
     targets = [(u, [v for v in range(1, k + 1) if graph.has_edge(u, v)])
                for u in range(1, k + 1)]
     frontier = [start]
     dist = 0
+    mark, before = 1, 2
+    met = False
     while frontier:
         dist += 1
+        mark, before = before, mark
         layer = []
         while frontier:
             piles = frontier.pop()  # freed once expanded: memory stays near one layer
@@ -293,12 +317,20 @@ def bfs_optimal(
                     if code == goal:
                         return dist
                     if not seen[code]:
-                        seen[code] = 1
+                        seen[code] = mark
                         after = piles.copy()
                         after[0] = code
                         after[u] ^= top
                         after[v] |= top
+                        if mirrored:
+                            after[-1] += (sigma[v] - sigma[u]) * step
+                            other = seen[after[-1]]
+                            if other == before:
+                                return 2 * dist - 1
+                            met = met or other == mark
                         layer.append(after)
+        if met:
+            return 2 * dist
         frontier = layer
     raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
 

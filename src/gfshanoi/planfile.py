@@ -12,8 +12,9 @@ edge list spelled ``edges:1-2,2-3`` (commas, not semicolons, because the
 header uses ``;`` to separate fields).  ``predicted`` is a decimal integer
 of up to Python's int/str conversion limit (4,300 digits unless
 ``PYTHONINTMAXSTRDIGITS`` or ``sys.set_int_max_str_digits`` changes it); a
-longer header number is a ``ParseError`` that names its field.  Trailing
-blank lines are tolerated; anything else is a ``ParseError``.
+longer header number, peg count, edge label or graph size is a
+``ParseError`` that names its field and digit count.  Trailing blank
+lines are tolerated; anything else is a ``ParseError``.
 
 A plan body repeats a few distinct lines (at most one per ordered edge
 when a planner wrote it), so ``parse_plan`` matches each distinct line
@@ -51,6 +52,19 @@ class ParseError(ValueError):
     """Malformed plan file or graph spec."""
 
 
+def _limited(digits: str, what: str) -> int:
+    """``int(digits)`` for digits that passed the decimal rule, else ParseError.
+
+    Only Python's int/str conversion limit can refuse them; the message
+    names ``what`` and its digit count instead of echoing the digits.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} has {len(digits)} digits, more than "
+                         "Python's int/str conversion limit") from None
+
+
 def graph_by_name(name: str) -> PegGraph:
     """Named graph: P3, K<k> (k >= 2), or S<leaves> (leaves >= 2)."""
     m = _NAMED_RE.match(name)
@@ -58,7 +72,7 @@ def graph_by_name(name: str) -> PegGraph:
         raise ParseError(f"unknown graph name {name!r}")
     if name == "P3":
         return PegGraph.path3()
-    size = int(m.group(2) or m.group(3))
+    size = _limited(m.group(2) or m.group(3), "graph size")
     try:
         return PegGraph.complete(size) if name[0] == "K" else PegGraph.star(size)
     except ValueError as exc:
@@ -71,11 +85,10 @@ def parse_graph_spec(text: str) -> PegGraph:
     if ";" not in text:
         return graph_by_name(text)
     head, _, tail = text.partition(";")
-    try:
-        pegs = _decimal(head.strip())
-    except ValueError:
-        raise ParseError(f"bad peg count {head.strip()!r}") from None
-    return _edge_graph(pegs, tail.strip())
+    head = head.strip()
+    if not _DECIMAL_RE.fullmatch(head):
+        raise ParseError(f"bad peg count {head!r}")
+    return _edge_graph(_limited(head, "peg count"), tail.strip())
 
 
 def _edge_graph(pegs: int, text: str) -> PegGraph:
@@ -87,7 +100,7 @@ def _edge_graph(pegs: int, text: str) -> PegGraph:
         u, dash, v = chunk.strip().partition("-")
         if not dash or not _DECIMAL_RE.fullmatch(u) or not _DECIMAL_RE.fullmatch(v):
             raise ParseError(f"bad edge {chunk.strip()!r}")
-        pairs.append((int(u), int(v)))
+        pairs.append((_limited(u, "edge label"), _limited(v, "edge label")))
     try:
         return PegGraph.from_edges(pegs, pairs)
     except ValueError as exc:
@@ -125,14 +138,8 @@ def parse_plan(text: str) -> MovePlan:
     for key in _HEADER_KEYS[1:]:
         if not _DECIMAL_RE.fullmatch(values[key]):
             raise ParseError(f"header field {key}={values[key]!r} is not a decimal integer")
-    numbers = []
-    for key in _HEADER_KEYS[1:]:
-        try:
-            numbers.append(int(values[key]))
-        except ValueError:  # the digits passed above, so only the int/str limit is left
-            raise ParseError(f"header field {key} has {len(values[key])} digits, more than "
-                             "Python's int/str conversion limit") from None
-    pegs, n, src, dst, predicted = numbers
+    pegs, n, src, dst, predicted = (_limited(values[key], f"header field {key}")
+                                    for key in _HEADER_KEYS[1:])
 
     token = values["graph"]
     edge_match = _EDGE_LIST_RE.match(token)

@@ -2,10 +2,12 @@
 
 Everything here is written for obviousness, not speed, and shares no code
 with the package: streams come from enumerating a whole exponent box and
-sorting, split indices from a literal scan, and the move numbers from the
-defining recursion with a memo dict.
+sorting, split indices from a literal scan, the move numbers from the
+defining recursion with a memo dict, and Hanoi optima from a plain
+breadth-first search over tuples of peg labels.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import product
 
@@ -80,3 +82,31 @@ def brute_gfs(bases, weights, n):
         return min(p * g(i, m - t) + q * g(i - 1, t) for t in range(1, m + 1))
 
     return g(len(bases) + 2, n)
+
+
+def brute_hanoi_distance(pegs, edges, n, src, dst):
+    """Fewest moves taking ``n`` disks from peg ``src`` to peg ``dst``.
+
+    A state is a tuple whose entry d is the peg of disk d + 1 (disk 1 is the
+    smallest); a disk may move when no smaller disk shares its peg or sits
+    on the target, and only along an edge.  Distances live in one dict.
+    """
+    adjacent = set(edges) | {(v, u) for u, v in edges}
+    start, goal = (src,) * n, (dst,) * n
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            return dist[state]
+        for disk, peg in enumerate(state):
+            smaller = state[:disk]
+            if peg in smaller:
+                continue
+            for target in range(1, pegs + 1):
+                if (peg, target) in adjacent and target not in smaller:
+                    after = smaller + (target,) + state[disk + 1:]
+                    if after not in dist:
+                        dist[after] = dist[state] + 1
+                        queue.append(after)
+    return None

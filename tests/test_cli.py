@@ -275,6 +275,19 @@ def test_validate_refuses_a_predicted_past_the_int_limit():
         "conversion limit\n"))
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("bfs", "--graph", "3; 1-2,2-" + "3" * 5000, "--n", "1", "--src", "1", "--dst", "2"), ""),
+    (("validate",), "hanoi-plan v1; graph=edges:1-2,2-" + "3" * 5000
+     + "; k=3; n=1; src=1; dst=2; predicted=1\n1>2\n"),
+], ids=["bfs-graph", "validate-header"])
+def test_edge_labels_past_the_int_limit_exit_4(argv, text):
+    proc = subprocess.run([sys.executable, "-m", "gfshanoi", *argv], input=text,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", (
+        "error: edge label has 5000 digits, more than Python's int/str conversion limit\n"))
+
+
 def test_plan_rejects_custom_graphs(capsys):
     code, _, err = run(capsys, "plan", "--graph", "4; 1-2,2-3,3-4",
                        "--n", "2", "--src", "1", "--dst", "4")

@@ -1,6 +1,9 @@
 """Unit tests for the puzzle engine, planners, search, and replay."""
 
 import hashlib
+import random
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from gfshanoi.hanoi import (
 )
 from gfshanoi.planfile import parse_plan, serialize_plan
 from gfshanoi.smooth import ParameterError
+from oracles import brute_hanoi_distance
 
 
 def test_graph_constructors():
@@ -224,6 +228,52 @@ def test_bfs_never_beats_star_bound_and_matches_small_cases():
         bound = len(plan_star(3, n, 2, 3).moves)
         assert best <= bound
         assert best == bound  # equality observed for every case this small
+
+
+def _swap_is_a_symmetry(edges, src, dst):
+    swap = {src: dst, dst: src}
+    return {tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in edges} == set(edges)
+
+
+def test_bfs_matches_the_oracle():
+    rng = random.Random(11)
+    graphs = [PegGraph.complete(k) for k in (3, 4, 5)] + [PegGraph.path3()]
+    graphs += [PegGraph.star(leaves) for leaves in (2, 3, 4)]
+    graphs.append(PegGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+    for pegs in (4, 4, 4, 5, 5):
+        order = rng.sample(range(1, pegs + 1), pegs)
+        tree = {tuple(sorted((order[i], rng.choice(order[:i])))) for i in range(1, pegs)}
+        extra = {(u, v) for u in range(1, pegs + 1) for v in range(u + 1, pegs + 1)
+                 if rng.random() < 0.3}
+        graphs.append(PegGraph.from_edges(pegs, tree | extra))
+    kinds = set()
+    for graph in graphs:
+        edges = sorted(graph.edges)
+        for src, dst in product(range(1, graph.pegs + 1), repeat=2):
+            for n in range(6 if graph.pegs < 5 else 5):
+                best = brute_hanoi_distance(graph.pegs, edges, n, src, dst)
+                assert bfs_optimal(graph, n, src, dst) == best, (graph.name, n, src, dst)
+                kinds.add((_swap_is_a_symmetry(edges, src, dst), best % 2))
+    # Odd and even optima, with and without the src/dst swap symmetry.
+    assert kinds == set(product((False, True), (0, 1)))
+    # One move (n = 1, adjacent pegs), and an even optimum whose only
+    # midpoint, disk 1 on the middle peg, is fixed by the swap.
+    assert bfs_optimal(PegGraph.complete(4), 1, 2, 3) == 1
+    assert bfs_optimal(PegGraph.path3(), 1, 1, 3) == 2
+
+
+def test_bfs_stops_at_the_midpoint():
+    # K4 n = 11 has 4,194,304 states; the search stops at layer 33 of 65.
+    k4 = PegGraph.complete(4)
+    assert bfs_optimal(k4, 11, 1, 4) == 65 == len(plan_complete(4, 11, 1, 4).moves)
+    # At n = 9 the layers kept are small next to seen's 262,144 bytes.
+    tracemalloc.start()
+    try:
+        assert bfs_optimal(k4, 9, 1, 4) == 41
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_bfs_budget():

@@ -176,3 +176,18 @@ def test_header_numbers_past_the_int_limit_are_parse_errors(int_limit):
     with pytest.raises(ParseError) as refused:
         parse_plan(head.format(1, 1).replace("1>3\n", body))
     assert str(refused.value).startswith("line 3: bad move '9999")
+
+
+def test_graph_labels_past_the_int_limit_are_parse_errors(int_limit):
+    label = "3" * 5000
+    plan = f"hanoi-plan v1; graph=edges:1-2,2-{label}; k=3; n=1; src=1; dst=2; predicted=1\n"
+    for read, text, what in ((parse_graph_spec, f"3; 1-2,2-{label}", "edge label"),
+                             (parse_plan, plan, "edge label"),
+                             (parse_graph_spec, f"K{label}", "graph size"),
+                             (parse_graph_spec, f"S{label}", "graph size"),
+                             (parse_graph_spec, f"{label}; 1-2", "peg count")):
+        with pytest.raises(ParseError) as refused:
+            read(text)
+        assert str(refused.value) == (
+            f"{what} has 5000 digits, more than Python's int/str conversion limit")
+    assert parse_graph_spec("3; 1-2,2-" + "0" * 4299 + "3").edges == {(1, 2), (2, 3)}
