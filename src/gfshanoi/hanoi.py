@@ -1,9 +1,9 @@
 """Tower of Hanoi on graphs: legality engine, planners, BFS oracle.
 
-Pegs sit on the vertices of a simple connected graph and a disk may hop
-only along an edge.  Replay and search hold a position as ``piles``: bit
-d-1 of ``piles[peg]`` is set while disk d (disk 1 is the smallest) is on
-that peg, so a peg's top disk is its lowest set bit.
+Pegs sit on the vertices of a simple connected graph and a disk may hop only
+along an edge, which named graphs decide by rule.  Replay and search hold a
+position as ``piles``: bit d-1 of ``piles[peg]`` is set while disk d (disk 1
+is the smallest) is on that peg, so a peg's top disk is its lowest set bit.
 
 Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
 stars with center 1.  All three run one park / cross / unpark recursion
@@ -11,7 +11,7 @@ that ends in one three-peg rule: a disk hops straight between adjacent
 pegs and otherwise goes through the third, the path's middle.  K3 is that
 rule with every pair adjacent.  Each planner returns a ``MovePlan`` whose
 length matches the corresponding generalized Frame-Stewart number, and
-whose moves share one ``Move`` object per ordered edge of the graph;
+whose moves share one ``Move`` object per ordered pair of pegs it uses;
 ``validate_plan`` replays any plan against the rules and ``bfs_optimal``
 computes the true optimum by exhaustive search.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, NamedTuple
 
 from .gfs import classic_params, gfs_fast, optimal_split
@@ -39,70 +40,77 @@ class Move(NamedTuple):
 
 @dataclass(frozen=True)
 class PegGraph:
-    """Simple connected graph with pegs labeled 1..pegs."""
+    """Simple connected graph with pegs labeled 1..pegs.  Every edge of a named
+    graph touches ``hub`` (1 on stars, 2 on P3; 0 joins every pair, K_k); a
+    custom graph has hub None and each peg's neighbour set in ``around``."""
 
     pegs: int
-    edges: frozenset[tuple[int, int]]  # normalized with u < v
     name: str
+    hub: int | None
+    around: tuple[frozenset[int], ...] = ()
 
-    def __post_init__(self) -> None:
-        pegs = _at_least(self.pegs, 2, "peg count")
-        adjacency: dict[int, list[int]] = {v: [] for v in range(1, pegs + 1)}
-        for u, v in self.edges:
-            if max(_at_least(w, 1, f"edge {u}-{v}: peg label") for w in (u, v)) > pegs:
-                raise ParameterError(f"edge {u}-{v} uses an unknown peg label")
-            if u >= v:
-                raise ParameterError("edges must be normalized (u < v)")
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != pegs:
-            raise ParameterError("the peg graph must be connected")
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:  # (u, v) with u < v, built per call
+        return frozenset((u, v) for u in range(1, self.pegs) for v in self.neighbours(u) if u < v)
+
+    def neighbours(self, peg: int) -> list[int]:
+        """The pegs adjacent to ``peg`` (of 1..pegs), ascending, in a new list."""
+        if self.hub is None:
+            return sorted(self.around[peg])
+        if self.hub in (0, peg):
+            return [v for v in range(1, self.pegs + 1) if v != peg]
+        return [self.hub]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        """Whether u - v is an edge; False unless both are integer pegs."""
+        u, v = _label(u), _label(v)  # ints, or labels of no peg
+        return (type(u) is int and type(v) is int and u != v
+                and 0 < min(u, v) and max(u, v) <= self.pegs
+                and (v in self.around[u] if self.hub is None else self.hub in (0, u, v)))
 
     @classmethod
     def from_edges(
         cls, pegs: int, pairs: Iterable[tuple[int, int]], name: str | None = None
     ) -> "PegGraph":
-        normalized: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        pegs = _at_least(pegs, 2, "peg count")
+        around: list[set[int]] = [set() for _ in range(pegs + 1)]
         for u, v in pairs:
             label = f"edge {u}-{v}: peg label"
             u, v = _at_least(u, 1, label), _at_least(v, 1, label)
             if u == v:
                 raise ParameterError(f"loop edge {u}-{v}")
-            edge = (min(u, v), max(u, v))
-            if edge in seen:
+            if max(u, v) > pegs:
+                raise ParameterError(f"edge {u}-{v} uses an unknown peg label")
+            if v in around[u]:
                 raise ParameterError(f"duplicate edge {u}-{v}")
-            seen.add(edge)
-            normalized.append(edge)
+            around[u].add(v)
+            around[v].add(u)
+        seen: set[int] = set()
+        reach = {1}
+        while reach:  # one layer of a breadth-first walk from peg 1
+            seen |= reach
+            reach = set().union(*(around[w] for w in reach)) - seen
+        if len(seen) != pegs:
+            raise ParameterError("the peg graph must be connected")
         if name is None:
-            name = "edges:" + ",".join(f"{u}-{v}" for u, v in sorted(normalized))
-        return cls(pegs, frozenset(normalized), name)
+            name = "edges:" + ",".join(f"{u}-{v}" for u in range(1, pegs + 1)
+                                       for v in sorted(around[u]) if u < v)
+        return cls(pegs, name, None, tuple(map(frozenset, around)))
 
     @classmethod
     def complete(cls, k: int) -> "PegGraph":
         k = _at_least(k, 2, "peg count")
-        pairs = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
-        return cls.from_edges(k, pairs, name=f"K{k}")
+        return cls(k, f"K{k}", 0)
 
     @classmethod
     def path3(cls) -> "PegGraph":
-        return cls.from_edges(3, [(1, 2), (2, 3)], name="P3")
+        return cls(3, "P3", 2)
 
     @classmethod
     def star(cls, leaves: int) -> "PegGraph":
         """Center peg 1 with ``leaves`` leaf pegs labeled 2..leaves+1."""
         leaves = _at_least(leaves, 2, "leaf count")
-        return cls.from_edges(leaves + 1, [(1, i) for i in range(2, leaves + 2)], name=f"S{leaves}")
+        return cls(leaves + 1, f"S{leaves}", 1)
 
 
 @dataclass
@@ -169,27 +177,30 @@ def _three(m: int, a: int, b: int, c: int, mid: int, out: list[Move], arcs) -> N
         _three(m - 1, a, b, c, mid, out, arcs)
 
 
-def _plan(graph: PegGraph, n: int, src: int, dst: int, family, mid: int, choose_park) -> MovePlan:
+def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> MovePlan:
     """Park / cross / unpark on ``graph``'s pegs, realizing ``family(graph.pegs)``.
 
     ``family(width)`` is the parameter family on ``width`` pegs.  The park
     peg is ``choose_park(spares)``; each (width, m) split is fetched once
-    per plan.  Three pegs move by ``_three`` with middle peg ``mid``, and
-    every move is one of the 2|E| ``Move`` objects in ``arcs``.
+    per plan.  Three pegs move by ``_three`` around the graph's hub.
     """
     moves: list[Move] = []
     arcs: list[dict[int, Move]] = [{} for _ in range(graph.pegs + 1)]
-    for u, v in graph.edges:
-        arcs[u][v], arcs[v][u] = Move(u, v), Move(v, u)
+    made: set[tuple[int, ...]] = set()
     splits: dict[tuple[int, int], int] = {}
 
     def transfer(pegs: tuple[int, ...], m: int, a: int, b: int) -> None:
         if m == 0:
             return
-        spares = [p for p in pegs if p not in (a, b)]
         if len(pegs) == 3:
-            _three(m, a, b, spares[0], mid, moves, arcs)
+            if pegs not in made:  # their edges' moves, once per plan
+                made.add(pegs)
+                for u, v in permutations(pegs, 2):
+                    if graph.has_edge(u, v):
+                        arcs[u].setdefault(v, Move(u, v))
+            _three(m, a, b, sum(pegs) - a - b, graph.hub, moves, arcs)
             return
+        spares = [p for p in pegs if p not in (a, b)]
         key = (len(pegs), m)
         if key not in splits:
             splits[key] = optimal_split(family(len(pegs)), m)
@@ -211,7 +222,7 @@ def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     and the parked pile follows; t comes from ``optimal_split``.
     """
     graph = PegGraph.complete(_at_least(k, 3, "peg count"))
-    return _plan(graph, *_check_endpoints(graph, n, src, dst), classic_params, 0, min)
+    return _plan(graph, *_check_endpoints(graph, n, src, dst), classic_params, min)
 
 
 def plan_path3(n: int, src: int, dst: int) -> MovePlan:
@@ -219,7 +230,7 @@ def plan_path3(n: int, src: int, dst: int) -> MovePlan:
     graph = PegGraph.path3()
     n, src, dst = _check_endpoints(graph, n, src, dst)
     weight = 1 if 2 in (src, dst) else 2  # a middle endpoint halves the cost
-    return _plan(graph, n, src, dst, lambda pegs: Params((3,), (weight,)), 2, None)
+    return _plan(graph, n, src, dst, lambda pegs: Params((3,), (weight,)), None)
 
 
 def star_params(leaves: int) -> Params:
@@ -241,7 +252,7 @@ def plan_star(k: int, n: int, src: int, dst: int) -> MovePlan:
     graph = PegGraph.star(k)
     checked = _check_endpoints(graph, n, src, dst, leaves=range(2, graph.pegs + 1))
     # The center is never the highest-numbered spare while a leaf is spare.
-    return _plan(graph, *checked, lambda pegs: star_params(pegs - 1), 1, max)
+    return _plan(graph, *checked, lambda pegs: star_params(pegs - 1), max)
 
 
 def bfs_optimal(
@@ -249,9 +260,9 @@ def bfs_optimal(
 ) -> int:
     """Exact minimum move count by breadth-first search over all states.
 
-    When swapping ``src`` and ``dst`` maps every edge onto an edge, that
-    swap σ is a symmetry of the graph taking the start to the goal, so a
-    state x lies as far from the goal as σ(x) lies from the start.  The
+    When ``src`` and ``dst`` have the same neighbours apart from each other,
+    swapping them (σ) maps edges onto edges and the start onto the goal, so
+    a state x lies as far from the goal as σ(x) lies from the start.  The
     search then stops where the two halves of an optimal path meet, at
     layer ⌈D/2⌉ of an optimum of D moves; on other graphs it runs until it
     reaches the goal.  Either way the answer is exact.
@@ -281,7 +292,7 @@ def bfs_optimal(
     seen[start[0]] = 1
     sigma = list(range(k + 1))
     sigma[src], sigma[dst] = dst, src
-    mirrored = all(graph.has_edge(sigma[u], sigma[v]) for u, v in graph.edges)
+    mirrored = set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}
     if mirrored:
         # The last slot holds the code of σ(state); σ(start) is the goal.  A
         # new state x of layer r with σ(x) in layer r - 1 closes a path of
@@ -292,8 +303,7 @@ def bfs_optimal(
         # from layer r - 2 or earlier would close a path of at most 2r - 2
         # moves, which met before layer r, so a mark's parity is enough.
         start.append(goal)
-    targets = [(u, [v for v in range(1, k + 1) if graph.has_edge(u, v)])
-               for u in range(1, k + 1)]
+    targets = [(u, graph.neighbours(u)) for u in range(1, k + 1)]
     frontier = [start]
     dist = 0
     mark, before = 1, 2
@@ -354,7 +364,9 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     """
     graph, moves = plan.graph, plan.moves
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
-    arcs = graph.edges.union([(v, u) for u, v in graph.edges])
+    # One verdict per distinct move.  Move(1.0, 3) == Move(1, 3), but 1.0 indexes
+    # no pile below; set() keeps the first of equal moves, so it fails first.
+    arcs = {move for move in set(moves) if graph.has_edge(*move)}
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
     # final check whenever src != dst.
@@ -363,13 +375,16 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     piles[src] = held
     for index, move in enumerate(moves):
         u, v = move
-        top = piles[u] & -piles[u] if move in arcs else None
-        if top is None:
+        try:
+            top, onto = piles[u] & -piles[u], piles[v]
+        except (TypeError, IndexError):  # not a peg label
+            top = None
+        if top is None or move not in arcs:
             failure = f"not-an-edge: no edge {u}-{v} in {graph.name}"
         elif not top:
             failure = f"empty-source: peg {u} is bare"
-        elif piles[v] & (top - 1):
-            below = piles[v] & -piles[v]
+        elif onto & (top - 1):
+            below = onto & -onto
             failure = (f"larger-on-smaller: disk {top.bit_length()} cannot sit on "
                        f"smaller disk {below.bit_length()} at peg {v}")
         else:

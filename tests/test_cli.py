@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,26 @@ def test_validate_refuses_a_predicted_past_the_int_limit():
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", (
         "error: header field predicted has 5000 digits, more than Python's int/str "
         "conversion limit\n"))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("argv, text, out", [
+    (("validate",), "hanoi-plan v1; graph=K2000; k=2000; n=1; src=1; dst=2; predicted=1\n1>2\n",
+     "pass, 1 moves\n"),
+    (("validate",), "hanoi-plan v1; graph=K100000; k=100000; n=1; src=1; dst=2; predicted=1\n"
+     "1>2\n", "pass, 1 moves\n"),
+    (("bfs", "--graph", "K2000", "--n", "1", "--src", "1", "--dst", "2"), "", "1\n"),
+], ids=["validate-K2000", "validate-K100000", "bfs-K2000"])
+def test_a_big_graph_name_costs_no_edge_list(argv, text, out):
+    # K_k answers adjacency by rule, so these fit in 256 MB of address
+    # space, in the child only; K2000's edge set alone once took about 600 MB.
+    proc = subprocess.run([sys.executable, "-m", "gfshanoi", *argv], input=text,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -56,6 +56,29 @@ def test_graph_validation():
         PegGraph.from_edges(3, [(1.0, 2), (2, 3)])  # a float label
 
 
+def test_named_graphs_answer_adjacency_by_rule():
+    # Each rule against the pair list its graph was once built from, and a
+    # custom graph's neighbour sets against its own pairs.  has_edge is read
+    # both ways over labels 0..pegs+1, so labels just outside count too.
+    graphs = [(PegGraph.complete(k), [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)])
+              for k in range(2, 8)]
+    graphs += [(PegGraph.star(leaves), [(1, i) for i in range(2, leaves + 2)])
+               for leaves in range(2, 7)]
+    graphs.append((PegGraph.path3(), [(1, 2), (2, 3)]))
+    cycle = [(1, 2), (2, 3), (3, 4), (2, 4)]
+    graphs.append((PegGraph.from_edges(4, cycle), cycle))
+    for graph, pairs in graphs:
+        assert graph.edges == frozenset(pairs), graph.name
+        for u, v in product(range(graph.pegs + 2), repeat=2):
+            assert graph.has_edge(u, v) == ((u, v) in pairs or (v, u) in pairs), (graph.name, u, v)
+        for u in range(1, graph.pegs + 1):
+            around = graph.neighbours(u)
+            assert around == sorted({v for v in range(1, graph.pegs + 1) if graph.has_edge(u, v)})
+            assert all(u in graph.neighbours(v) for v in around), (graph.name, u)
+        assert {(u, v) for u in range(1, graph.pegs + 1)
+                for v in graph.neighbours(u) if u < v} == graph.edges
+
+
 def test_custom_graph_default_name():
     g = PegGraph.from_edges(4, [(3, 4), (1, 2), (2, 3)])
     assert g.name == "edges:1-2,2-3,3-4"
@@ -96,6 +119,27 @@ def test_apply_move_error_codes():
         validate_plan(MovePlan(p3, -1, 1, 3, [], 0))
     with pytest.raises(ParameterError):
         validate_plan(MovePlan(p3, 2, 1, 4, [], 8))  # dst is not a vertex
+
+
+def test_replay_refuses_labels_that_only_equal_a_peg():
+    # 1.0 equals peg 1 and hashes like it, but is no peg label: a move with
+    # one is no edge, before or after the same move with int labels, as
+    # Move('1', 3) is.  True is the integer 1 and stays legal.
+    k3 = PegGraph.complete(3)
+    cases = [
+        ([Move(1.0, 3)], 0, "1.0>3", "1.0-3"),
+        ([Move("1", 3)], 0, "1>3", "1-3"),
+        ([Move(1.0, 2), Move(1, 2)], 0, "1.0>2", "1.0-2"),
+        ([Move(1, 2), Move(1.0, 3), Move(2, 3)], 1, "1.0>3", "1.0-3"),
+        ([Move(1, 2), Move(1, 3), Move(2, 3.0)], 2, "2>3.0", "2-3.0"),
+        ([Move(2, 3.0)], 0, "2>3.0", "2-3.0"),  # no edge before a bare source
+    ]
+    for moves, index, shown, edge in cases:
+        report = validate_plan(MovePlan(k3, 2, 1, 3, moves, 3))
+        assert (report.ok, report.failure_index, report.failure) == (
+            False, index, f"move {index} ({shown}): not-an-edge: no edge {edge} in K3")
+    assert validate_plan(MovePlan(k3, 1, 1, 3, [Move(True, 3)], 1)).ok
+    assert validate_plan(MovePlan(k3, 2, 1, 3, [Move(1, 2), Move(True, 3), Move(2, 3)], 3)).ok
 
 
 def _first_illegal(graph, n, moves):
