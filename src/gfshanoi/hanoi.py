@@ -9,18 +9,23 @@ Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
 stars with center 1.  All three run one park / cross / unpark recursion
 that ends in one three-peg rule: a disk hops straight between adjacent
 pegs and otherwise goes through the third, the path's middle.  K3 is that
-rule with every pair adjacent.  Each planner returns a ``MovePlan`` whose
-length matches the corresponding generalized Frame-Stewart number, and
-whose moves share one ``Move`` object per ordered pair of pegs it uses;
-``validate_plan`` replays any plan against the rules and ``bfs_optimal``
-computes the true optimum by exhaustive search.
+rule with every pair adjacent.  A sub-plan depends only on its width, its
+disk count and the ranks of its two ends among the pegs in play, so each
+distinct one is built once per plan as a block, a string of move codes
+over those ranks, and reused: by concatenation where the pegs are the same,
+and through one ``str.translate`` into the ranks of one more peg.  Each
+planner returns a ``MovePlan`` whose length matches the corresponding
+generalized Frame-Stewart number, and whose moves share one ``Move``
+object per ordered pair of pegs it uses; ``validate_plan`` replays any
+plan against the rules and ``bfs_optimal`` computes the true optimum by
+exhaustive search.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .gfs import classic_params, gfs_fast, optimal_split
@@ -158,60 +163,83 @@ def _check_endpoints(
     return n, src, dst
 
 
-def _three(m: int, a: int, b: int, c: int, mid: int, out: list[Move], arcs) -> None:
-    # Pegs a, b, c lie on a path whose middle peg is ``mid``; on K3, mid is
-    # 0, no peg, so every pair is an edge.  Adjacent pegs cost
-    # 2 G(m-1) + 1 moves, end to end through c costs 3 G(m-1) + 2.
-    # ``arcs[u][v]`` is the plan's one ``Move(u, v)``.
-    if m == 0:
-        return
-    if c != mid:  # a - b is an edge: the rest wait on c
-        _three(m - 1, a, c, b, mid, out, arcs)
-        out.append(arcs[a][b])
-        _three(m - 1, c, b, a, mid, out, arcs)
-    else:  # c is the middle: end to end through it
-        _three(m - 1, a, b, c, mid, out, arcs)
-        out.append(arcs[a][c])
-        _three(m - 1, b, a, c, mid, out, arcs)
-        out.append(arcs[c][b])
-        _three(m - 1, a, b, c, mid, out, arcs)
+class _Memo(dict):
+    """A dict that fills each missing key with ``make(key)`` when it is first read."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
 def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> MovePlan:
     """Park / cross / unpark on ``graph``'s pegs, realizing ``family(graph.pegs)``.
 
-    ``family(width)`` is the parameter family on ``width`` pegs.  The park
-    peg is ``choose_park(spares)``; each (width, m) split is fetched once
-    per plan.  Three pegs move by ``_three`` around the graph's hub.
+    ``family(width)`` is the parameter family on ``width`` pegs.  A sub-plan
+    moving m disks from peg a to peg b among the w pegs in play depends
+    only on (w, m, rank a, rank b), with ranks 0..w-1 counted up the
+    sorted pegs: the park peg, ``choose_park`` of the spare ranks, is the
+    same peg under the ranking, and the hub is never parked (the star's
+    center keeps rank 0, P3's middle rank 1; K_k has no middle).  So each
+    distinct sub-plan is built once per plan, as a block: a ``str`` of
+    move codes ``chr(u * k + v)`` for a move from rank u to rank v, with
+    k = graph.pegs.  Three pegs follow one rule around the middle.  A wider
+    sub-plan is its park block, then the cross step's block (ranked among
+    w - 1 pegs) relabelled into its ranks by one ``str.translate``, then
+    its unpark block.  Each (w, m) split is fetched once per plan.  The
+    top block's ranks are peg - 1, and each distinct code becomes one
+    ``Move`` that the whole plan shares.
+
+    Codes reach k * k - 1 and code points stop at 0x10FFFF, so blocks serve
+    k <= 1055.  Python's stack runs out first: the split lookups, whose
+    streams nest one generator per base (``optimal_split`` alone fails from
+    995 bases), plus one frame per width, stop plans from about k = 989.
     """
-    moves: list[Move] = []
-    arcs: list[dict[int, Move]] = [{} for _ in range(graph.pegs + 1)]
-    made: set[tuple[int, ...]] = set()
+    k = graph.pegs
+    mid = graph.hub - 1  # the middle's rank; -1, no rank, on K_k
+    blocks: dict[tuple[int, int, int, int], str] = {}
     splits: dict[tuple[int, int], int] = {}
 
-    def transfer(pegs: tuple[int, ...], m: int, a: int, b: int) -> None:
-        if m == 0:
-            return
-        if len(pegs) == 3:
-            if pegs not in made:  # their edges' moves, once per plan
-                made.add(pegs)
-                for u, v in permutations(pegs, 2):
-                    if graph.has_edge(u, v):
-                        arcs[u].setdefault(v, Move(u, v))
-            _three(m, a, b, sum(pegs) - a - b, graph.hub, moves, arcs)
-            return
-        spares = [p for p in pegs if p not in (a, b)]
-        key = (len(pegs), m)
-        if key not in splits:
-            splits[key] = optimal_split(family(len(pegs)), m)
-        t = splits[key]
-        park = choose_park(spares)
-        transfer(pegs, m - t, a, park)
-        transfer(tuple(p for p in pegs if p != park), t, a, b)
-        transfer(pegs, m - t, park, b)
+    def lifted(park: int) -> _Memo:
+        """``str.translate`` table from codes ranked among w - 1 pegs to the
+        same moves ranked among w, where rank ``park`` is the one left out."""
+        def up(code: int) -> int:
+            u, v = divmod(code, k)
+            return (u + (u >= park)) * k + v + (v >= park)
+        return _Memo(up)
 
-    transfer(tuple(range(1, graph.pegs + 1)), n, src, dst)
-    return MovePlan(graph, n, src, dst, moves, gfs_fast(family(graph.pegs), n))
+    lifts = _Memo(lifted)  # one table per park rank, filled as codes appear
+
+    def block(w: int, m: int, a: int, b: int) -> str:
+        key = (w, m, a, b)
+        if m == 0 or key in blocks:
+            return blocks.get(key, "")
+        if w == 3:  # adjacent a, b cost 2 G(m-1) + 1, end to end 3 G(m-1) + 2
+            c = 3 - a - b
+            if c != mid:  # a - b is an edge: the rest wait on c
+                out = block(3, m - 1, a, c) + chr(a * k + b) + block(3, m - 1, c, b)
+            else:  # c is the middle: end to end through it
+                ends = block(3, m - 1, a, b)
+                out = ends + chr(a * k + c) + block(3, m - 1, b, a) + chr(c * k + b) + ends
+        else:
+            if (w, m) not in splits:
+                splits[w, m] = optimal_split(family(w), m)
+            t = splits[w, m]
+            # The lowest and the highest spare rank are among these.
+            park = choose_park({0, 1, 2, w - 3, w - 2, w - 1} - {a, b})
+            cross = block(w - 1, t, a - (a > park), b - (b > park))
+            out = block(w, m - t, a, park) + cross.translate(lifts[park]) + block(w, m - t, park, b)
+        blocks[key] = out
+        return out
+
+    top = block(k, n, src - 1, dst - 1)
+    blocks.clear()  # the plan's list of moves needs only the top block
+    arcs = _Memo(lambda code: Move(ord(code) // k + 1, ord(code) % k + 1))
+    moves = list(map(arcs.__getitem__, top))
+    return MovePlan(graph, n, src, dst, moves, gfs_fast(family(k), n))
 
 
 def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
@@ -364,35 +392,42 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     """
     graph, moves = plan.graph, plan.moves
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
-    # One verdict per distinct move.  Move(1.0, 3) == Move(1, 3), but 1.0 indexes
-    # no pile below; set() keeps the first of equal moves, so it fails first.
-    arcs = {move for move in set(moves) if graph.has_edge(*move)}
+    # Edges and labels are judged once per distinct move, so the replay
+    # tests only the disks, up to the first move that is no edge.  Move(1.0,
+    # 3) == Move(1, 3) and set() keeps the first of equal moves: when that
+    # one is no edge, no later equal move is reached, and when it is, a
+    # later 1.0 fails to index ``piles``.
+    bad = {move for move in set(moves) if not graph.has_edge(*move)}
+    stop = next(i for i, move in enumerate(moves) if move in bad) if bad else len(moves)
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
     # final check whenever src != dst.
     held = (1 << min(n, len(moves) + 1)) - 1
     piles = [0] * (graph.pegs + 1)
     piles[src] = held
-    for index, move in enumerate(moves):
-        u, v = move
+    for index, (u, v) in enumerate(islice(moves, stop)):
         try:
-            top, onto = piles[u] & -piles[u], piles[v]
-        except (TypeError, IndexError):  # not a peg label
-            top = None
-        if top is None or move not in arcs:
-            failure = f"not-an-edge: no edge {u}-{v} in {graph.name}"
-        elif not top:
+            pile, onto = piles[u], piles[v]
+        except (TypeError, IndexError):  # equal to a peg label without being one
+            stop = index
+            break
+        top = pile & -pile
+        if not top:
             failure = f"empty-source: peg {u} is bare"
         elif onto & (top - 1):
             below = onto & -onto
             failure = (f"larger-on-smaller: disk {top.bit_length()} cannot sit on "
                        f"smaller disk {below.bit_length()} at peg {v}")
         else:
-            piles[u] ^= top
-            piles[v] |= top
+            piles[u] = pile ^ top
+            piles[v] = onto | top
             continue
         return ReplayReport(False, index, plan.predicted_length, index,
                             f"move {index} ({u}>{v}): {failure}")
+    if stop < len(moves):
+        u, v = moves[stop]
+        return ReplayReport(False, stop, plan.predicted_length, stop,
+                            f"move {stop} ({u}>{v}): not-an-edge: no edge {u}-{v} in {graph.name}")
     failure = None
     if piles[dst] != held:
         failure = f"final position is not all on peg {dst}"

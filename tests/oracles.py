@@ -4,12 +4,17 @@ Everything here is written for obviousness, not speed, and shares no code
 with the package: streams come from enumerating a whole exponent box and
 sorting, split indices from a literal scan, the move numbers from the
 defining recursion with a memo dict, and Hanoi optima from a plain
-breadth-first search over tuples of peg labels.
+breadth-first search over tuples of peg labels.  The one exception is the
+textbook planner, which takes its split from ``gfs.optimal_split`` (tested
+on its own against the recurrence) and spells out everything else.
 """
 
 from collections import deque
 from functools import lru_cache
 from itertools import product
+
+from gfshanoi.gfs import classic_params, optimal_split
+from gfshanoi.smooth import Params
 
 
 def exponent_limit(base: int, bound: int) -> int:
@@ -110,3 +115,57 @@ def brute_hanoi_distance(pegs, edges, n, src, dst):
                         dist[after] = dist[state] + 1
                         queue.append(after)
     return None
+
+
+@lru_cache(maxsize=None)
+def _textbook_split(kind, width, m):
+    """t for m disks on ``width`` pegs of a complete graph ("K") or a star."""
+    if kind == "K":
+        return optimal_split(classic_params(width), m)
+    extra = width - 3  # the star family on ``width`` pegs
+    return optimal_split(Params((3,) + (2,) * extra, (2,) + (1,) * extra), m)
+
+
+def textbook_plan(kind, pegs, n, src, dst):
+    """The moves, as (from, to) pairs, of the planner for ``kind``.
+
+    ``kind`` is "K" for K_pegs, "S" for the star with center 1 and leaves
+    2..pegs, or "P" for the path 1 - 2 - 3.  The recursion runs over the
+    tuple of pegs still in play: the m - t smallest disks park on a spare
+    peg (the lowest on K_k, the highest leaf on a star) using every peg in
+    play, the t largest cross the pegs left without it, and the parked
+    pile follows.  Three pegs take the classic rule, through the third peg
+    when it is the graph's middle.
+    """
+    middle = {"K": None, "S": 1, "P": 2}[kind]
+    moves = []
+
+    def three(m, a, b, c):
+        if m == 0:
+            return
+        if c == middle:  # a and b are not adjacent
+            three(m - 1, a, b, c)
+            moves.append((a, c))
+            three(m - 1, b, a, c)
+            moves.append((c, b))
+            three(m - 1, a, b, c)
+        else:
+            three(m - 1, a, c, b)
+            moves.append((a, b))
+            three(m - 1, c, b, a)
+
+    def transfer(in_play, m, a, b):
+        if m == 0:
+            return
+        spares = [peg for peg in in_play if peg not in (a, b)]
+        if len(in_play) == 3:
+            three(m, a, b, spares[0])
+            return
+        t = _textbook_split(kind, len(in_play), m)
+        park = min(spares) if kind == "K" else max(spares)
+        transfer(in_play, m - t, a, park)
+        transfer(tuple(peg for peg in in_play if peg != park), t, a, b)
+        transfer(in_play, m - t, park, b)
+
+    transfer(tuple(range(1, pegs + 1)), n, src, dst)
+    return moves

@@ -3,7 +3,7 @@
 import hashlib
 import random
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from gfshanoi.hanoi import (
 )
 from gfshanoi.planfile import parse_plan, serialize_plan
 from gfshanoi.smooth import ParameterError
-from oracles import brute_hanoi_distance
+from oracles import brute_hanoi_distance, textbook_plan
 
 
 def test_graph_constructors():
@@ -140,6 +140,10 @@ def test_replay_refuses_labels_that_only_equal_a_peg():
             False, index, f"move {index} ({shown}): not-an-edge: no edge {edge} in K3")
     assert validate_plan(MovePlan(k3, 1, 1, 3, [Move(True, 3)], 1)).ok
     assert validate_plan(MovePlan(k3, 2, 1, 3, [Move(1, 2), Move(True, 3), Move(2, 3)], 3)).ok
+    # A move that cannot be hashed is no move: a TypeError, as from set().
+    for moves in ([Move([1], 3)], [Move(1, 2), [1, 3]]):
+        with pytest.raises(TypeError):
+            validate_plan(MovePlan(k3, 2, 1, 3, moves, 2))
 
 
 def _first_illegal(graph, n, moves):
@@ -226,6 +230,37 @@ def test_star_plans_validate_and_match_their_family():
             report = validate_plan(plan)
             assert report.ok, (leaves, n, report.failure)
             assert len(plan.moves) == gfs_fast(params, n) == plan.predicted_length
+
+
+def _planned(kind, pegs, n, src, dst):
+    if kind == "K":
+        plan = plan_complete(pegs, n, src, dst)
+    elif kind == "S":
+        plan = plan_star(pegs - 1, n, src, dst)
+    else:
+        plan = plan_path3(n, src, dst)
+    return [tuple(move) for move in plan.moves]
+
+
+def test_planners_match_the_textbook_recursion():
+    # Every ordered endpoint pair (leaves on stars), move for move.
+    cases = [("K", 3, 10)] + [("K", k, 30) for k in range(4, 9)] + [("P", 3, 7), ("S", 3, 7)]
+    cases += [("S", leaves + 1, 15) for leaves in range(3, 7)]
+    plans = 0
+    for kind, pegs, top in cases:
+        for src, dst in permutations(range(2 if kind == "S" else 1, pegs + 1), 2):
+            for n in range(top + 1):
+                expected = textbook_plan(kind, pegs, n, src, dst)
+                assert _planned(kind, pegs, n, src, dst) == expected, (kind, pegs, n, src, dst)
+                plans += 1
+    assert plans == 6178
+
+
+def test_wide_graphs_plan_like_the_textbook():
+    # A move from rank u to rank v is coded chr(u * k + v), which serves
+    # k <= 1055 (k * k - 1 <= 0x10FFFF); K300's codes pass 0xFFFF.
+    assert _planned("S", 301, 3, 2, 301) == textbook_plan("S", 301, 3, 2, 301)
+    assert _planned("K", 300, 3, 300, 1) == textbook_plan("K", 300, 3, 300, 1)
 
 
 def test_planner_argument_errors():
