@@ -286,10 +286,14 @@ def _limit_address_space():
     (("validate",), "hanoi-plan v1; graph=K100000; k=100000; n=1; src=1; dst=2; predicted=1\n"
      "1>2\n", "pass, 1 moves\n"),
     (("bfs", "--graph", "K2000", "--n", "1", "--src", "1", "--dst", "2"), "", "1\n"),
-], ids=["validate-K2000", "validate-K100000", "bfs-K2000"])
+    (("bfs", "--graph", "K20000", "--n", "1", "--src", "1", "--dst", "20000"), "", "1\n"),
+    (("bfs", "--graph", "S20000", "--n", "1", "--src", "2", "--dst", "20001"), "", "2\n"),
+], ids=["validate-K2000", "validate-K100000", "bfs-K2000", "bfs-K20000", "bfs-S20000"])
 def test_a_big_graph_name_costs_no_edge_list(argv, text, out):
     # K_k answers adjacency by rule, so these fit in 256 MB of address
     # space, in the child only; K2000's edge set alone once took about 600 MB.
+    # The search takes neighbours only for pegs whose top disk moves, so
+    # K20000 at n = 1 needs one peg's list, not one per peg.
     proc = subprocess.run([sys.executable, "-m", "gfshanoi", *argv], input=text,
                           capture_output=True, text=True, timeout=30,
                           preexec_fn=_limit_address_space)

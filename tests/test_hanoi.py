@@ -316,7 +316,7 @@ def _swap_is_a_symmetry(edges, src, dst):
 
 def test_bfs_matches_the_oracle():
     rng = random.Random(11)
-    graphs = [PegGraph.complete(k) for k in (3, 4, 5)] + [PegGraph.path3()]
+    graphs = [PegGraph.complete(k) for k in (2, 3, 4, 5)] + [PegGraph.path3()]
     graphs += [PegGraph.star(leaves) for leaves in (2, 3, 4)]
     graphs.append(PegGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
     for pegs in (4, 4, 4, 5, 5):
@@ -325,12 +325,19 @@ def test_bfs_matches_the_oracle():
         extra = {(u, v) for u in range(1, pegs + 1) for v in range(u + 1, pegs + 1)
                  if rng.random() < 0.3}
         graphs.append(PegGraph.from_edges(pegs, tree | extra))
+    graphs.append(PegGraph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4), (2, 6)]))
     kinds = set()
     for graph in graphs:
         edges = sorted(graph.edges)
         for src, dst in product(range(1, graph.pegs + 1), repeat=2):
-            for n in range(6 if graph.pegs < 5 else 5):
+            # The search splits the disks at n // 2: n = 1 leaves the small
+            # half empty, and odd and even n split unevenly and evenly.
+            for n in range({2: 4, 3: 6, 4: 6, 5: 5, 6: 4}[graph.pegs]):
                 best = brute_hanoi_distance(graph.pegs, edges, n, src, dst)
+                if best is None:  # K2 from n = 2: the smaller disk is always in the way
+                    with pytest.raises(ParameterError, match="no move sequence reaches peg"):
+                        bfs_optimal(graph, n, src, dst)
+                    continue
                 assert bfs_optimal(graph, n, src, dst) == best, (graph.name, n, src, dst)
                 kinds.add((_swap_is_a_symmetry(edges, src, dst), best % 2))
     # Odd and even optima, with and without the src/dst swap symmetry.
