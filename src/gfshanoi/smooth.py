@@ -19,11 +19,10 @@ The index origin is 3 throughout: the first base/weight pair belongs to the
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice, starmap, takewhile
+from itertools import count, islice, repeat, takewhile
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -126,38 +125,52 @@ def smooth_iter(bases: Sequence[int]) -> Iterator[SmoothTerm]:
         slot = max(i for i, base in enumerate(checked) if base == 1)
         before, after = (0,) * slot, (0,) * (len(checked) - slot - 1)
         return (SmoothTerm(1, before + (m,) + after) for m in count())
-    return starmap(SmoothTerm, _merge(checked))
+    # tuple.__new__ skips NamedTuple's Python-level __new__ for each term.
+    return map(tuple.__new__, repeat(SmoothTerm), _merge(checked))
 
 
 def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     # stream(bases) = merge(stream(bases[:-1]) with a trailing 0 exponent,
     #                       last_base * stream(bases)),
     # and the stream over no bases is the single empty product.  Every base
-    # is >= 2.  Vectors with a zero last exponent come only from the first
-    # branch and all others only from the second, so no two (value, vector)
-    # tuples tie and tuple order alone merges the branches.
+    # is >= 2.  Each level is one generator that merges its two branches by
+    # hand: (value, vec) is the sub-stream's next term, still without its
+    # trailing 0, and (shift, svec) the shifted branch's next term, the
+    # oldest term in ``pending`` times p with its last exponent raised by 1.
+    # On equal values the two vectors differ in their first len - 1
+    # exponents, since the sub term's last exponent is 0 and the shifted
+    # term's is >= 1, so ``svec < vec`` orders a tie exactly.  ``pending``
+    # holds the emitted terms, after the first, whose p-multiple is not out
+    # yet; the first term's multiple is the shifted branch's first term.  A
+    # term is popped only after the shifted term just emitted has entered
+    # ``pending``, so it is never empty.  When the empty-base level's stream
+    # ends, the shifted branch goes on alone.
     if not bases:
         yield (1, ())
         return
     p = bases[-1]
-    sub = ((value, exponents + (0,)) for value, exponents in _merge(bases[:-1]))
-
-    def shifted() -> Iterator[tuple[int, tuple[int, ...]]]:
-        while True:
-            value, exponents = pending.popleft()
-            yield value * p, exponents[:-1] + (exponents[-1] + 1,)
-
-    # ``pending`` holds the emitted terms whose p-multiple is not out yet.
-    # heapq.merge pulls an input's next item only after it has yielded the
-    # previous one, and each term enters ``pending`` before it is yielded, so
-    # shifted() never finds it empty.  When the empty-base level's stream
-    # ends, the merge goes on with shifted() alone.
-    first = next(sub)
-    pending = deque([first])
-    yield first
-    for term in heapq.merge(sub, shifted()):
-        pending.append(term)
+    sub = _merge(bases[:-1])
+    _, vec = next(sub)  # value 1, which the shifted branch never reaches
+    yield (1, vec + (0,))
+    shift, svec = p, vec + (1,)
+    pending: deque[tuple[int, tuple[int, ...]]] = deque()
+    append, popleft = pending.append, pending.popleft
+    for value, vec in sub:
+        while shift < value or shift == value and svec < vec:
+            term = (shift, svec)
+            append(term)
+            yield term
+            shift, svec = popleft()
+            shift, svec = shift * p, svec[:-1] + (svec[-1] + 1,)
+        term = (value, vec + (0,))
+        append(term)
         yield term
+    while True:
+        term = (shift, svec)
+        append(term)
+        yield term
+        shift, svec = popleft()
+        shift, svec = shift * p, svec[:-1] + (svec[-1] + 1,)
 
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:

@@ -503,6 +503,30 @@ def test_closed_stdout_is_quiet():
         assert (proc.wait(timeout=60), err) == (4, b"")
 
 
+def test_wide_sequence_prints_every_row():
+    zeros = ",".join(["0"] * 600)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfshanoi", "sequence", "--bases", ",".join(["2"] * 600),
+         "--count", "3"], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "j value exponents", f"1 1 ({zeros})",
+        f"2 2 ({zeros[:-1]}1)", f"3 2 ({zeros[:-3]}1,0)"]
+
+
+def test_long_stream_bytes_are_pinned(capsys):
+    # 20,000 terms each.  Equal values reach every merge level from both of
+    # its branches, through repeated bases (2,2,2) and dependent ones (4 =
+    # 2**2, 6 = 2*3), so the order within each run of equal values shows here.
+    for bases, want in (
+            ("2,2,2", "4673bb7dc0848ab847ca53494f75e6699efba9805e204c5a22b144b8487c7272"),
+            ("4,6,2,7,3", "6f73848a1e983c832c8b598452a5a1e592f6d15694f8aaafaad6e8add6223a7c")):
+        code, out, _ = run(capsys, "sequence", "--bases", bases, "--count", "20000",
+                           "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, bases
+
+
 def test_table_bytes_are_pinned(capsys):
     # Every format of both table commands, the argmin fallback, n = 0 rows,
     # count 0 and width-3 ordinals included; a change in any byte shows here.

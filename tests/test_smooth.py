@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gfshanoi.smooth import (
     ParameterError,
     Params,
+    SmoothTerm,
     UnsupportedRegimeError,
     constant_p_term,
     smooth_iter,
@@ -66,27 +67,31 @@ def test_every_smooth_number_appears_once_up_to_bound():
 
 
 @given(
-    bases=st.lists(st.integers(2, 9), min_size=1, max_size=3).map(tuple),
+    bases=st.lists(st.integers(2, 9), min_size=1, max_size=6).map(tuple),
     count=st.integers(0, 80),
 )
-@settings(deadline=None)
+@settings(deadline=None, max_examples=100)
 def test_stream_sorted_unique_and_consistent(bases, count):
     terms = smooth_stream(bases, count)
     keys = [tuple(t) for t in terms]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    for term in terms:
-        value = 1
-        for b, e in zip(bases, term.exponents):
-            value *= b**e
-        assert value == term.value
+    for term, (value, exponents) in zip(terms, keys):
+        # terms are built without SmoothTerm.__new__, so check type and fields
+        assert type(term) is SmoothTerm
+        assert (term.value, term.exponents) == (value, exponents)
+        assert len(exponents) == len(bases)
+        product_value = 1
+        for b, e in zip(bases, exponents):
+            product_value *= b**e
+        assert product_value == value
 
 
 @given(
-    bases=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
+    bases=st.lists(st.integers(2, 6), min_size=1, max_size=6).map(tuple),
     bound=st.integers(1, 400),
 )
-@settings(deadline=None)
+@settings(deadline=None, max_examples=100)
 def test_stream_matches_brute_box(bases, bound):
     want = box_terms(bases, bound)
     got = []
@@ -95,6 +100,16 @@ def test_stream_matches_brute_box(bases, bound):
             break
         got.append((term.value, term.exponents))
     assert got == want
+
+
+def test_wide_family_streams():
+    # one generator frame per base, so 600 nested levels fit Python's stack
+    terms = smooth_stream((2,) * 600, 3)
+    assert [t.value for t in terms] == [1, 2, 2]
+    vectors = [t.exponents for t in terms]
+    assert vectors == sorted(vectors)
+    assert vectors[0] == (0,) * 600
+    assert vectors[1:] == [(0,) * 599 + (1,), (0,) * 598 + (1, 0)]
 
 
 def test_unit_base_prefixes_are_all_ones():
