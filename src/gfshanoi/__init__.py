@@ -46,7 +46,6 @@ from .smooth import (
     split_indices,
     split_indices_up_to,
 )
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -89,3 +88,13 @@ __all__ = [
     "validate_plan",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``verify`` loads on first use, so importing the package (and every CLI
+    # child) skips it.
+    if name == "run_suite":
+        from .verify import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from itertools import islice
-from pathlib import Path
 
 from .gfs import GfsTable, gfs_prefix
 from .hanoi import (
@@ -40,7 +39,6 @@ from .smooth import (
     smooth_iter,
     split_indices_up_to,
 )
-from .verify import DEFAULT_SEED, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
     p.add_argument("--max-n", type=_nonneg_int, default=None,
                    help="cap instance sizes for a quicker run")
-    p.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonneg_int, default=None)
     return parser
 
 
@@ -257,7 +255,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.file in (None, "-"):
         text = sys.stdin.read()
     else:
-        text = Path(args.file).read_text(encoding="utf-8")
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
     report = validate_plan(parse_plan(text))
     if args.format == "json":
         payload = {
@@ -289,7 +288,10 @@ def cmd_bfs(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(max_n=args.max_n, seed=args.seed)
+    from .verify import run_suite  # only this subcommand loads the suite
+
+    seed = {} if args.seed is None else {"seed": args.seed}  # run_suite holds the default
+    report = run_suite(max_n=args.max_n, **seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 

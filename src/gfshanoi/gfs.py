@@ -22,7 +22,6 @@ agreement between them is a meaningful cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 from typing import Iterable
@@ -30,6 +29,7 @@ from typing import Iterable
 from .smooth import (
     ParameterError,
     Params,
+    _Fields,
     _at_least,
     _binomial_level,
     _runs,
@@ -50,17 +50,19 @@ def _split_scan(p: int, q: int, row: list[int], below: list[int], n: int) -> tup
     return best, best_t
 
 
-@dataclass
-class GfsTable:
+class GfsTable(_Fields):
     """Dense table of G_i(n) for 3 <= i <= k and 0 <= n <= n_max.
 
     Rows are filled bottom-up in i and left-to-right in n; build once,
     then read values and argmins at will.
     """
 
-    params: Params
-    n_max: int
-    rows: dict[int, list[int]]
+    __slots__ = ("params", "n_max", "rows")
+
+    def __init__(self, params: Params, n_max: int, rows: dict[int, list[int]]) -> None:
+        self.params = params
+        self.n_max = n_max
+        self.rows = rows
 
     @classmethod
     def build(cls, params: Params, n_max: int) -> "GfsTable":

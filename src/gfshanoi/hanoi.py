@@ -27,12 +27,11 @@ exhaustive search.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .gfs import classic_params, gfs_fast, optimal_split
-from .smooth import ParameterError, Params, _at_least
+from .smooth import ParameterError, Params, _Fields, _FrozenFields, _at_least
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -46,16 +45,19 @@ class Move(NamedTuple):
     to_peg: int
 
 
-@dataclass(frozen=True)
-class PegGraph:
+class PegGraph(_FrozenFields):
     """Simple connected graph with pegs labeled 1..pegs.  Every edge of a named
     graph touches ``hub`` (1 on stars, 2 on P3; 0 joins every pair, K_k); a
     custom graph has hub None and each peg's neighbour set in ``around``."""
 
-    pegs: int
-    name: str
-    hub: int | None
-    around: tuple[frozenset[int], ...] = ()
+    __slots__ = ("pegs", "name", "hub", "around")
+
+    def __init__(self, pegs: int, name: str, hub: int | None,
+                 around: tuple[frozenset[int], ...] = ()) -> None:
+        object.__setattr__(self, "pegs", pegs)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "hub", hub)
+        object.__setattr__(self, "around", around)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:  # (u, v) with u < v, built per call
@@ -121,14 +123,17 @@ class PegGraph:
         return cls(leaves + 1, f"S{leaves}", 1)
 
 
-@dataclass
-class MovePlan:
-    graph: PegGraph
-    n: int
-    src: int
-    dst: int
-    moves: list[Move]
-    predicted_length: int
+class MovePlan(_Fields):
+    __slots__ = ("graph", "n", "src", "dst", "moves", "predicted_length")
+
+    def __init__(self, graph: PegGraph, n: int, src: int, dst: int, moves: list[Move],
+                 predicted_length: int) -> None:
+        self.graph = graph
+        self.n = n
+        self.src = src
+        self.dst = dst
+        self.moves = moves
+        self.predicted_length = predicted_length
 
 
 def _label(peg: int) -> int:
@@ -197,9 +202,10 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
     ``Move`` that the whole plan shares.
 
     Codes reach k * k - 1 and code points stop at 0x10FFFF, so blocks serve
-    k <= 1055.  Python's stack runs out first: the split lookups, whose
-    streams nest one generator per base (``optimal_split`` alone fails from
-    995 bases), plus one frame per width, stop plans from about k = 989.
+    k <= 1055.  The split lookups nest one generator per base, and this
+    recursion adds one frame per width, so ``family`` refuses k past
+    ``MAX_BASES + 2`` (``smooth.MAX_BASES``), where Python's stack still has
+    room on every supported version.
     """
     k = graph.pegs
     mid = graph.hub - 1  # the middle's rank; -1, no rank, on K_k
@@ -413,15 +419,18 @@ def bfs_optimal(
     raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(_Fields):
     """Outcome of replaying a plan against the legality engine."""
 
-    ok: bool
-    moves_applied: int
-    predicted_length: int
-    failure_index: int | None
-    failure: str | None
+    __slots__ = ("ok", "moves_applied", "predicted_length", "failure_index", "failure")
+
+    def __init__(self, ok: bool, moves_applied: int, predicted_length: int,
+                 failure_index: int | None, failure: str | None) -> None:
+        self.ok = ok
+        self.moves_applied = moves_applied
+        self.predicted_length = predicted_length
+        self.failure_index = failure_index
+        self.failure = failure
 
 
 def validate_plan(plan: MovePlan) -> ReplayReport:

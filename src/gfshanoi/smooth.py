@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from itertools import count, islice, repeat, takewhile
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
@@ -35,23 +34,67 @@ class UnsupportedRegimeError(ValueError):
     """The operation needs every base >= 2 but a base equal to 1 was given."""
 
 
-@dataclass(frozen=True)
-class Params:
+class _Fields:
+    """``repr`` and ``==`` over the fields that ``__slots__`` names, in order,
+    as a dataclass has them; equal only to an instance of the same class.
+
+    Each subclass writes its own ``__init__``: a loop over the fields made
+    construction several times slower.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # equal by fields, so only a frozen class may hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through __init__, which frozen classes need
+        return self.__class__, self._values()
+
+
+class _FrozenFields(_Fields):
+    """``_Fields`` that hash by their fields and refuse assignment; ``__init__``
+    sets each field through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(_FrozenFields):
     """Pairs (p_i, q_i) for peg counts i = 3 .. k.
 
     ``bases[0]`` is p_3 and ``weights[0]`` is q_3; all entries are positive
     integers, stored as tuples of ``int`` whatever integer type came in.
+    A family has at most ``MAX_BASES`` pairs.
     """
 
-    bases: tuple[int, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("bases", "weights")
 
-    def __post_init__(self) -> None:
-        if len(self.bases) != len(self.weights):
+    def __init__(self, bases: Sequence[int], weights: Sequence[int]) -> None:
+        width = len(bases)
+        if width != len(weights):
             raise ParameterError("bases and weights must pair up")
-        values = _positive_ints((*self.bases, *self.weights), "the p_i and q_i")
-        object.__setattr__(self, "bases", values[:len(self.bases)])
-        object.__setattr__(self, "weights", values[len(self.bases):])
+        values = _positive_ints((*bases, *weights), "the p_i and q_i", width)
+        object.__setattr__(self, "bases", values[:width])
+        object.__setattr__(self, "weights", values[width:])
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Params":
@@ -82,9 +125,18 @@ class SmoothTerm(NamedTuple):
     exponents: tuple[int, ...]
 
 
-def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ParameterError unless it is nonempty and
-    each entry is an integer >= 1.
+# The stream and the run walk nest one generator per base, and the planners
+# add one frame per peg on top of those, so a much wider family runs out of
+# Python's stack.  From a one-frame script the widest that works is 497
+# bases on CPython 3.10, 747 on 3.12, and 986 or more on 3.11 and 3.13; the
+# bound leaves room for the caller's own frames on every one of them.
+MAX_BASES = 400
+
+
+def _positive_ints(values: Sequence[int], what: str, width: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ParameterError unless it is nonempty,
+    each entry is an integer >= 1, and the family it describes, ``width``
+    bases wide (``len(values)`` unless given), has at most ``MAX_BASES``.
 
     ``operator.index`` refuses floats, where ``int()`` would truncate 2.5 to 2.
     """
@@ -94,6 +146,10 @@ def _positive_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
         out = ()
     if not out or min(out) < 1:
         raise ParameterError(f"{what} must be a nonempty sequence of positive integers")
+    width = len(out) if width is None else width
+    if width > MAX_BASES:
+        raise ParameterError(f"a family has at most {MAX_BASES} bases "
+                             f"({MAX_BASES + 2} pegs), not {width}")
     return out
 
 

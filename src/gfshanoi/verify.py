@@ -13,7 +13,6 @@ import bisect
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
 
 from .gfs import (
     GfsTable,
@@ -22,18 +21,21 @@ from .gfs import (
     gfs_prefix,
 )
 from .hanoi import bfs_optimal, plan_complete, plan_path3, plan_star, validate_plan
-from .smooth import Params, _at_least, constant_p_term, smooth_stream, split_indices_up_to
+from .smooth import Params, _Fields, _at_least, constant_p_term, smooth_stream, split_indices_up_to
 
 DEFAULT_SEED = 1729
 
 
-@dataclass
-class CheckResult:
-    name: str
-    instances: int = 0
-    failures: int = 0
-    first_failure: dict | None = None
-    notes: list[str] = field(default_factory=list)
+class CheckResult(_Fields):
+    __slots__ = ("name", "instances", "failures", "first_failure", "notes")
+
+    def __init__(self, name: str, instances: int = 0, failures: int = 0,
+                 first_failure: dict | None = None, notes: list[str] | None = None) -> None:
+        self.name = name
+        self.instances = instances
+        self.failures = failures
+        self.first_failure = first_failure
+        self.notes = [] if notes is None else notes
 
     def fail(self, **detail) -> None:
         self.failures += 1
@@ -239,5 +241,7 @@ def run_suite(max_n: int | None = None, seed: int = DEFAULT_SEED) -> dict:
             ok = False
         if result.instances == 0:
             warnings.append(f"{result.name}: zero instances checked")
-        checks.append({**asdict(result), "elapsed_ms": elapsed_ms})
+        checks.append({"name": result.name, "instances": result.instances,
+                       "failures": result.failures, "first_failure": result.first_failure,
+                       "notes": result.notes, "elapsed_ms": elapsed_ms})
     return {"ok": ok, "seed": seed, "max_n": max_n, "checks": checks, "warnings": warnings}

@@ -16,6 +16,7 @@ import pytest
 import gfshanoi.cli as cli
 import gfshanoi.verify as verify_mod
 from gfshanoi.gfs import GfsTable
+from gfshanoi.smooth import MAX_BASES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -504,14 +505,50 @@ def test_closed_stdout_is_quiet():
 
 
 def test_wide_sequence_prints_every_row():
-    zeros = ",".join(["0"] * 600)
+    # the widest family nests MAX_BASES generators in a fresh process
+    zeros = ",".join(["0"] * MAX_BASES)
     proc = subprocess.run(
-        [sys.executable, "-m", "gfshanoi", "sequence", "--bases", ",".join(["2"] * 600),
+        [sys.executable, "-m", "gfshanoi", "sequence", "--bases", ",".join(["2"] * MAX_BASES),
          "--count", "3"], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "j value exponents", f"1 1 ({zeros})",
         f"2 2 ({zeros[:-1]}1)", f"3 2 ({zeros[:-3]}1,0)"]
+
+
+@pytest.mark.parametrize("argv, width", [
+    (("sequence", "--bases", ",".join(["2"] * (MAX_BASES + 1)), "--count", "3"), MAX_BASES + 1),
+    (("sequence", "--bases", ",".join(["2"] * 600), "--count", "3", "--splits"), 600),
+    (("compute", *["--pq", "2:1"] * (MAX_BASES + 1), "--n", "3"), MAX_BASES + 1),
+    (("plan", "--graph", f"K{MAX_BASES + 3}", "--n", "3", "--src", "1", "--dst", "2"),
+     MAX_BASES + 1),
+    (("plan", "--graph", f"S{MAX_BASES + 2}", "--n", "3", "--src", "2", "--dst", "3"),
+     MAX_BASES + 1),
+], ids=["sequence", "sequence-600", "compute", "plan-K", "plan-S"])
+def test_wider_families_exit_1(capsys, argv, width):
+    assert run(capsys, *argv) == (
+        1, "", f"error: a family has at most {MAX_BASES} bases ({MAX_BASES + 2} pegs), "
+               f"not {width}\n")
+
+
+def test_cli_import_skips_dataclasses_and_verify():
+    # -S leaves out site, whose .pth files may import anything.  The child
+    # runs verify after the check, so its lazy import is the first one.
+    code = (
+        "import sys, gfshanoi.cli\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'pathlib', 'gfshanoi.verify')"
+        " if m in sys.modules]\n"
+        "code = gfshanoi.cli.main(['verify', '--max-n', '1'])\n"
+        "from gfshanoi import run_suite\n"
+        "print(heavy, code, run_suite.__module__, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "[] 0 gfshanoi.verify\n")
+    assert json.loads(proc.stdout)["ok"] is True
+    names = {}
+    exec("from gfshanoi import *", names)
+    assert names["run_suite"] is verify_mod.run_suite
 
 
 def test_long_stream_bytes_are_pinned(capsys):

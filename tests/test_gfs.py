@@ -20,6 +20,7 @@ from gfshanoi.gfs import (
     optimal_split,
 )
 from gfshanoi.smooth import (
+    MAX_BASES,
     ParameterError,
     Params,
     UnsupportedRegimeError,
@@ -253,6 +254,17 @@ def test_run_walk_reaches_a_billion():
     n = 10**9
     assert gfs_fast(classic_params(8), n) == constant_case_closed_form(2, 8, n)
     assert gfs_diff(classic_params(8), n) == constant_p_term(2, 8, n)
+
+
+def test_run_walk_at_the_width_bound():
+    # The run walk nests one generator per base: MAX_BASES of them fit
+    # Python's stack, and one more base is refused.
+    k = MAX_BASES + 2
+    for n in (1, k - 1, 1000):
+        assert gfs_fast(classic_params(k), n) == constant_case_closed_form(2, k, n)
+        assert gfs_diff(classic_params(k), n) == constant_p_term(2, k, n)
+    with pytest.raises(ParameterError, match=f"at most {MAX_BASES} bases"):
+        classic_params(k + 1)
 
 
 def test_fast_route_memory_is_bounded():

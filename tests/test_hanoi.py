@@ -23,7 +23,7 @@ from gfshanoi.hanoi import (
     validate_plan,
 )
 from gfshanoi.planfile import parse_plan, serialize_plan
-from gfshanoi.smooth import ParameterError
+from gfshanoi.smooth import MAX_BASES, ParameterError
 from oracles import brute_hanoi_distance, textbook_plan
 
 
@@ -261,6 +261,19 @@ def test_wide_graphs_plan_like_the_textbook():
     # k <= 1055 (k * k - 1 <= 0x10FFFF); K300's codes pass 0xFFFF.
     assert _planned("S", 301, 3, 2, 301) == textbook_plan("S", 301, 3, 2, 301)
     assert _planned("K", 300, 3, 300, 1) == textbook_plan("K", 300, 3, 300, 1)
+
+
+def test_planners_at_the_width_bound():
+    # A family of MAX_BASES bases plans on MAX_BASES + 2 pegs: K402, and S401
+    # with its center.  The planners recurse once per width on top of the
+    # split lookups' nested generators, so a wider family is refused.
+    top = MAX_BASES + 2
+    for plan in (plan_complete(top, 3, top, 1), plan_star(top - 1, 3, 2, top)):
+        assert validate_plan(plan).ok, plan.graph.name
+    refused = f"at most {MAX_BASES} bases .* not {MAX_BASES + 1}$"
+    for wider in (lambda: plan_complete(top + 1, 3, 1, 2), lambda: plan_star(top, 3, 2, 3)):
+        with pytest.raises(ParameterError, match=refused):
+            wider()
 
 
 def test_planner_argument_errors():

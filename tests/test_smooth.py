@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfshanoi.smooth import (
+    MAX_BASES,
     ParameterError,
     Params,
     SmoothTerm,
@@ -103,13 +104,26 @@ def test_stream_matches_brute_box(bases, bound):
 
 
 def test_wide_family_streams():
-    # one generator frame per base, so 600 nested levels fit Python's stack
-    terms = smooth_stream((2,) * 600, 3)
+    # one generator frame per base, so the widest family fits Python's stack
+    width = MAX_BASES
+    terms = smooth_stream((2,) * width, 3)
     assert [t.value for t in terms] == [1, 2, 2]
     vectors = [t.exponents for t in terms]
     assert vectors == sorted(vectors)
-    assert vectors[0] == (0,) * 600
-    assert vectors[1:] == [(0,) * 599 + (1,), (0,) * 598 + (1, 0)]
+    assert vectors[0] == (0,) * width
+    assert vectors[1:] == [(0,) * (width - 1) + (1,), (0,) * (width - 2) + (1, 0)]
+    # the run of width 2s starts at position 2 and holds width - 1 split
+    # indices; the next one starts the run of 4s, at position width + 2
+    assert split_indices((2,) * width, width + 1) == (*range(1, width + 1), width + 2)
+
+
+@pytest.mark.parametrize("width", [MAX_BASES + 1, 600])
+def test_wider_families_are_refused(width):
+    for call in (lambda: smooth_stream((2,) * width, 3),
+                 lambda: split_indices((2,) * width, 3),
+                 lambda: Params((2,) * width, (1,) * width)):
+        with pytest.raises(ParameterError, match=f"at most {MAX_BASES} bases .* not {width}$"):
+            call()
 
 
 def test_unit_base_prefixes_are_all_ones():
