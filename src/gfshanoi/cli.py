@@ -14,9 +14,10 @@ output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from bisect import bisect_right
+from functools import partial
 from itertools import islice
 
 from .gfs import GfsTable, gfs_prefix
@@ -143,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload) -> None:
+    import json  # only JSON output loads it
+
+    print(json.dumps(payload, indent=2))
+
+
 def _resolve_budget(flag: int | None) -> int:
     if flag is not None:
         return _at_least(flag, 1, "--budget")
@@ -160,8 +167,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     params = Params.from_pairs(args.pq)
     lo, hi = args.n
     prefix = gfs_prefix(params, hi)
-    splits: list[int | None] = [None] * (hi + 1)
-    source = table = None
+    split = source = table = None  # split(n) is row n's split, for n >= 1
     if args.splits:
         if params.k < 4:
             raise ParameterError("the split column needs at least two P:Q pairs")
@@ -170,12 +176,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         except UnsupportedRegimeError:  # some base is 1
             source = "oracle-argmin"
             table = GfsTable.build(params, hi)
-            splits[1:] = map(table.argmin_split, range(1, hi + 1))
+            split = table.argmin_split
         else:
             source = "split-indices"
-            # n has split j from the j-th split index up to the next one
-            for j, (start, end) in enumerate(zip(marks, marks[1:] + [hi + 1]), start=1):
-                splits[start:end] = [j] * (end - start)
+            # the split of n is the number of split indices <= n
+            split = partial(bisect_right, marks)
     if args.oracle:
         table = table or GfsTable.build(params, hi)
         for n in range(hi + 1):
@@ -192,22 +197,22 @@ def cmd_compute(args: argparse.Namespace) -> int:
                    "k": params.k, "rows": [
                        {"n": n, "value": str(prefix[n]),
                         "diff": str(prefix[n] - prefix[n - 1]) if n else None,
-                        "split": splits[n],
-                        "split_source": source if splits[n] is not None else None}
+                        "split": split(n) if split and n else None,
+                        "split_source": source if split and n else None}
                        for n in rows]}
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.format == "csv":
         # csv leaves the fallback column empty; no field ever needs quoting
         print("n,value,diff,split")
         for n in rows:
-            split = splits[n] if n and source == "split-indices" else ""
-            print(f"{n},{prefix[n]},{prefix[n] - prefix[n - 1] if n else ''},{split}")
+            column = split(n) if n and source == "split-indices" else ""
+            print(f"{n},{prefix[n]},{prefix[n] - prefix[n - 1] if n else ''},{column}")
     else:
         mark = "*" if source == "oracle-argmin" else ""
         print("n value diff split")
         for n in rows:
-            split = "-" if splits[n] is None else f"{splits[n]}{mark}"
-            print(f"{n} {prefix[n]} {prefix[n] - prefix[n - 1] if n else '-'} {split}")
+            column = f"{split(n)}{mark}" if split and n else "-"
+            print(f"{n} {prefix[n]} {prefix[n] - prefix[n - 1] if n else '-'} {column}")
         if mark and hi:
             print("* split from recurrence argmin (outside the split-index regime)")
     return EXIT_OK
@@ -221,7 +226,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         payload = {"bases": list(args.bases), "terms": [
             {"j": j, "value": str(term.value), "exponents": list(term.exponents)}
             for j, term in terms], "splits": marks}
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.format == "csv":
         ordinals = {m: i for i, m in enumerate(marks or (), start=1)}
         print("j,value,exponents,split")
@@ -266,7 +271,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "failure_index": report.failure_index,
             "failure": report.failure,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif report.ok:
         print(f"pass, {report.moves_applied} moves")
     else:
@@ -281,7 +286,7 @@ def cmd_bfs(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {"graph": graph.name, "n": args.n, "src": args.src,
                    "dst": args.dst, "moves": str(moves)}
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(moves)
     return EXIT_OK
@@ -292,7 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     seed = {} if args.seed is None else {"seed": args.seed}  # run_suite holds the default
     report = run_suite(max_n=args.max_n, **seed)
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 

@@ -22,9 +22,9 @@ agreement between them is a meaningful cross-check rather than a tautology.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate, chain, islice, repeat
 from math import comb
-from typing import Iterable
 
 from .smooth import (
     ParameterError,

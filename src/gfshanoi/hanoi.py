@@ -27,8 +27,9 @@ exhaustive search.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import islice
-from typing import Iterable, NamedTuple
 
 from .gfs import classic_params, gfs_fast, optimal_split
 from .smooth import ParameterError, Params, _Fields, _FrozenFields, _at_least
@@ -40,9 +41,7 @@ class BudgetError(RuntimeError):
     """The state space is larger than the configured search budget."""
 
 
-class Move(NamedTuple):
-    from_peg: int
-    to_peg: int
+Move = namedtuple("Move", ("from_peg", "to_peg"))
 
 
 class PegGraph(_FrozenFields):

@@ -20,10 +20,10 @@ The index origin is 3 throughout: the first base/weight pair belongs to the
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import count, islice, repeat, takewhile
 from math import comb, prod
-from typing import Iterator, NamedTuple, Sequence
 
 
 class ParameterError(ValueError):
@@ -115,14 +115,11 @@ class Params(_FrozenFields):
         return Params(self.bases, (1,) * len(self.weights))
 
 
-class SmoothTerm(NamedTuple):
-    """One stream term, ``value == prod(b ** e for b, e in zip(bases, exponents))``.
+SmoothTerm = namedtuple("SmoothTerm", ("value", "exponents"))
+SmoothTerm.__doc__ = """\
+One stream term, ``value == prod(b ** e for b, e in zip(bases, exponents))``.
 
-    Tuple order is stream order.
-    """
-
-    value: int
-    exponents: tuple[int, ...]
+Tuple order is stream order."""
 
 
 # The stream and the run walk nest one generator per base, and the planners
@@ -181,7 +178,7 @@ def smooth_iter(bases: Sequence[int]) -> Iterator[SmoothTerm]:
         slot = max(i for i, base in enumerate(checked) if base == 1)
         before, after = (0,) * slot, (0,) * (len(checked) - slot - 1)
         return (SmoothTerm(1, before + (m,) + after) for m in count())
-    # tuple.__new__ skips NamedTuple's Python-level __new__ for each term.
+    # tuple.__new__ skips namedtuple's Python-level __new__ for each term.
     return map(tuple.__new__, repeat(SmoothTerm), _merge(checked))
 
 

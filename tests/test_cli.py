@@ -532,23 +532,44 @@ def test_wider_families_exit_1(capsys, argv, width):
 
 
 def test_cli_import_skips_dataclasses_and_verify():
-    # -S leaves out site, whose .pth files may import anything.  The child
-    # runs verify after the check, so its lazy import is the first one.
+    # -S leaves out site, whose .pth files may import anything.  A bare
+    # package import loads no submodule, and the CLI loads neither typing
+    # nor json.  The child runs verify after the check, so its lazy import
+    # is the first one.
     code = (
-        "import sys, gfshanoi.cli\n"
-        "heavy = [m for m in ('dataclasses', 'inspect', 'pathlib', 'gfshanoi.verify')"
-        " if m in sys.modules]\n"
+        "import sys, gfshanoi\n"
+        "bare = [m for m in sys.modules if m.startswith('gfshanoi.')]\n"
+        "import gfshanoi.cli\n"
+        "heavy = [m for m in ('typing', 'json', 'dataclasses', 'inspect', 'pathlib',"
+        " 'gfshanoi.verify') if m in sys.modules]\n"
         "code = gfshanoi.cli.main(['verify', '--max-n', '1'])\n"
         "from gfshanoi import run_suite\n"
-        "print(heavy, code, run_suite.__module__, file=sys.stderr)\n")
+        "print(bare, heavy, code, run_suite.__module__, file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "[] 0 gfshanoi.verify\n")
+    assert (proc.returncode, proc.stderr) == (0, "[] [] 0 gfshanoi.verify\n")
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_every_export_is_the_object_its_module_defines():
+    import gfshanoi
+
+    owners = {name: module for module, names in gfshanoi._EXPORTS.items() for name in names}
+    assert len(owners) == sum(map(len, gfshanoi._EXPORTS.values()))  # each name once
+    assert sorted(gfshanoi.__all__) == sorted([*owners, "__version__"])
+    assert set(gfshanoi.__all__) <= set(dir(gfshanoi))
+    for name, module in owners.items():
+        value = getattr(gfshanoi, name)
+        assert getattr(gfshanoi, module) is sys.modules[f"gfshanoi.{module}"]
+        assert value is getattr(sys.modules[f"gfshanoi.{module}"], name), name
+        assert getattr(value, "__module__", f"gfshanoi.{module}") == f"gfshanoi.{module}", name
     names = {}
     exec("from gfshanoi import *", names)
-    assert names["run_suite"] is verify_mod.run_suite
+    del names["__builtins__"]
+    assert sorted(names) == sorted(gfshanoi.__all__)
+    with pytest.raises(AttributeError, match="module 'gfshanoi' has no attribute 'nope'"):
+        gfshanoi.nope  # noqa: B018
 
 
 def test_long_stream_bytes_are_pinned(capsys):
