@@ -20,7 +20,7 @@ from bisect import bisect_right
 from functools import partial
 from itertools import islice
 
-from .gfs import GfsTable, gfs_prefix
+from .gfs import GfsTable, _gfs_walk
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
@@ -166,7 +166,6 @@ def _resolve_budget(flag: int | None) -> int:
 def cmd_compute(args: argparse.Namespace) -> int:
     params = Params.from_pairs(args.pq)
     lo, hi = args.n
-    prefix = gfs_prefix(params, hi)
     split = source = table = None  # split(n) is row n's split, for n >= 1
     if args.splits:
         if params.k < 4:
@@ -183,11 +182,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
             split = partial(bisect_right, marks)
     if args.oracle:
         table = table or GfsTable.build(params, hi)
-        for n in range(hi + 1):
-            if table.value(n) != prefix[n]:
-                print(f"oracle: mismatch at n={n}: recurrence={table.value(n)} "
-                      f"prefix={prefix[n]}", file=sys.stderr)
-                return EXIT_MISMATCH
+    first = max(lo - 1, 0)  # row lo's diff needs G(lo - 1)
+    prefix = {}  # G(first), ..., G(hi): only the values the rows print
+    for n, value in enumerate(_gfs_walk(params, hi)):
+        if args.oracle and table.value(n) != value:
+            print(f"oracle: mismatch at n={n}: recurrence={table.value(n)} "
+                  f"prefix={value}", file=sys.stderr)
+            return EXIT_MISMATCH
+        if n >= first:
+            prefix[n] = value
+    if args.oracle:
         print(f"oracle: match ({hi + 1} checked)", file=sys.stderr)
 
     rows = range(lo, hi + 1)

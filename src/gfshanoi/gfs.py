@@ -22,7 +22,7 @@ agreement between them is a meaningful cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 
@@ -123,13 +123,18 @@ def _sum_and_last(bases: tuple[int, ...], n: int) -> tuple[int, int]:
     return total + n * value, value
 
 
-def gfs_prefix(params: Params, n_max: int) -> list[int]:
-    """[G_k(0), ..., G_k(n_max)] via the prefix-sum identity."""
-    n_max = _at_least(n_max, 0, "n_max")
+def _gfs_walk(params: Params, n_max: int) -> Iterator[int]:
+    """G_k(0), ..., G_k(n_max) in turn via the prefix-sum identity, holding
+    only the stream's pending runs, not the values already yielded."""
     q = params.q
     runs = _value_runs(params.bases, n_max)
     values = chain.from_iterable(repeat(value, m) for value, m, _ in runs)
-    return [q * total for total in accumulate(islice(values, n_max), initial=0)]
+    return (q * total for total in accumulate(islice(values, n_max), initial=0))
+
+
+def gfs_prefix(params: Params, n_max: int) -> list[int]:
+    """[G_k(0), ..., G_k(n_max)] via the prefix-sum identity."""
+    return list(_gfs_walk(params, _at_least(n_max, 0, "n_max")))
 
 
 def gfs_fast(params: Params, n: int) -> int:

@@ -2,11 +2,13 @@
 
 Pegs sit on the vertices of a simple connected graph and a disk may hop only
 along an edge, which named graphs decide by rule.  Replay holds a position as
-``piles``: bit d-1 of ``piles[peg]`` is set while disk d (disk 1 is the
-smallest) is on that peg, so a peg's top disk is its lowest set bit.  Search
-holds a state as one int, its base-k code, whose digit d-1 names disk d's
-peg - 1, and reads its moves from two tables of rows, one per half of the
-disks, filled as the search reaches them.
+linked pile tops: ``top[peg]`` is the smallest disk on that peg (disk 1 is
+the smallest), or one past the largest disk when the peg is bare, and
+``below[d]`` is the disk that d sits on, so a move is legal exactly when its
+source's top is smaller than its target's.  Search holds a state as one int,
+its base-k code, whose digit d-1 names disk d's peg - 1, and reads its moves
+from two tables of rows, one per half of the disks, filled as the search
+reaches them.
 
 Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
 stars with center 1.  All three run one park / cross / unpark recursion
@@ -444,32 +446,34 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     # tests only the disks, up to the first move that is no edge.  Move(1.0,
     # 3) == Move(1, 3) and set() keeps the first of equal moves: when that
     # one is no edge, no later equal move is reached, and when it is, a
-    # later 1.0 fails to index ``piles``.
+    # later 1.0 fails to index ``top``.
     bad = {move for move in set(moves) if not graph.has_edge(*move)}
     stop = next(i for i, move in enumerate(moves) if move in bad) if bad else len(moves)
     # Disk d moves only after d - 1 earlier moves, so disks past
     # len(moves) + 1 never move; the one extra stays on src and fails the
-    # final check whenever src != dst.
-    held = (1 << min(n, len(moves) + 1)) - 1
-    piles = [0] * (graph.pegs + 1)
-    piles[src] = held
+    # final check whenever src != dst.  A bare peg's top is ``bare``, larger
+    # than every disk, so any disk may land there and none leaves.
+    held = min(n, len(moves) + 1)
+    bare = held + 1
+    top = [bare] * (graph.pegs + 1)
+    top[src] = 1
+    below = list(range(1, held + 2))  # disk d on d + 1, the largest on bare
     for index, (u, v) in enumerate(islice(moves, stop)):
         try:
-            pile, onto = piles[u], piles[v]
+            disk, onto = top[u], top[v]
         except (TypeError, IndexError):  # equal to a peg label without being one
             stop = index
             break
-        top = pile & -pile
-        if not top:
-            failure = f"empty-source: peg {u} is bare"
-        elif onto & (top - 1):
-            below = onto & -onto
-            failure = (f"larger-on-smaller: disk {top.bit_length()} cannot sit on "
-                       f"smaller disk {below.bit_length()} at peg {v}")
-        else:
-            piles[u] = pile ^ top
-            piles[v] = onto | top
+        if disk < onto:
+            top[u] = below[disk]
+            below[disk] = onto
+            top[v] = disk
             continue
+        if disk == bare:
+            failure = f"empty-source: peg {u} is bare"
+        else:
+            failure = (f"larger-on-smaller: disk {disk} cannot sit on "
+                       f"smaller disk {onto} at peg {v}")
         return ReplayReport(False, index, plan.predicted_length, index,
                             f"move {index} ({u}>{v}): {failure}")
     if stop < len(moves):
@@ -477,7 +481,7 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
         return ReplayReport(False, stop, plan.predicted_length, stop,
                             f"move {stop} ({u}>{v}): not-an-edge: no edge {u}-{v} in {graph.name}")
     failure = None
-    if piles[dst] != held:
+    if top.count(bare) + (top[dst] != bare) != graph.pegs + 1:  # a peg but dst holds a disk
         failure = f"final position is not all on peg {dst}"
     elif len(moves) != plan.predicted_length:
         failure = f"{len(moves)} moves but the plan predicts {plan.predicted_length}"

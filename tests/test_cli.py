@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,10 +71,23 @@ def test_compute_oracle_match(capsys):
 
 
 def test_compute_oracle_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "gfs_prefix", lambda params, n_max: [0] + [1] * n_max)
+    monkeypatch.setattr(cli, "_gfs_walk", lambda params, n_max: iter([0] + [1] * n_max))
     code, _, err = run(capsys, "compute", "--pq", "2:1", "--n", "0..4", "--oracle")
     assert code == 2
     assert "mismatch" in err
+
+
+def test_compute_memory_follows_the_rows(capsys):
+    # One row of a two-base family, where nearly every run is one term: the
+    # walk keeps G(n - 1) and G(n), not all n + 1 values.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "compute", "--pq", "2:1", "--pq", "3:1", "--n", "100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("n value diff split\n100000 ")
+    assert peak < 2 * 2**20, peak
 
 
 def test_compute_builds_one_table(capsys, monkeypatch):

@@ -146,30 +146,56 @@ def test_replay_refuses_labels_that_only_equal_a_peg():
             validate_plan(MovePlan(k3, 2, 1, 3, moves, 2))
 
 
-def _first_illegal(graph, n, moves):
-    """Index of the first move the rules forbid, replayed on a disk -> peg list."""
-    where = [1] * n
+def _replay_model(graph, n, src, dst, moves):
+    """Replay on a disk -> peg list: the (failure_index, failure) that
+    ``validate_plan`` reports for a plan of the right length, and the moves
+    the rules allow when each forbidden one is skipped."""
+    where = [src] * n  # where[d - 1] is disk d's peg; disk 1 is the smallest
+    first = failure = None
+    allowed = []
     for index, (u, v) in enumerate(moves):
-        on_u = [d for d in range(n) if where[d] == u]
-        on_v = [d for d in range(n) if where[d] == v]
-        if not graph.has_edge(u, v) or not on_u or (on_v and on_v[0] < on_u[0]):
-            return index
-        where[on_u[0]] = v
-    return None
+        on_u = [d for d in range(1, n + 1) if where[d - 1] == u]
+        on_v = [d for d in range(1, n + 1) if where[d - 1] == v]
+        if not graph.has_edge(u, v):
+            wrong = f"not-an-edge: no edge {u}-{v} in {graph.name}"
+        elif not on_u:
+            wrong = f"empty-source: peg {u} is bare"
+        elif on_v and on_v[0] < on_u[0]:
+            wrong = (f"larger-on-smaller: disk {on_u[0]} cannot sit on "
+                     f"smaller disk {on_v[0]} at peg {v}")
+        else:
+            where[on_u[0] - 1] = v
+            allowed.append(Move(u, v))
+            continue
+        if failure is None:
+            first, failure = index, f"move {index} ({u}>{v}): {wrong}"
+    if failure is None and any(peg != dst for peg in where):
+        failure = f"final position is not all on peg {dst}"
+    return first, failure, allowed
 
 
-@given(n=st.integers(0, 6),
-       pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=30))
-@settings(deadline=None, max_examples=200)
-def test_replay_matches_a_disk_tuple_model(n, pairs):
-    graph = PegGraph.complete(4)
+def _report(graph, n, src, dst, moves):
+    report = validate_plan(MovePlan(graph, n, src, dst, moves, len(moves)))
+    return report.ok, report.moves_applied, report.failure_index, report.failure
+
+
+# Labels reach 4, which P3 lacks, so the model also sees moves off the graph.
+@given(graph=st.sampled_from([PegGraph.complete(4), PegGraph.path3(), PegGraph.star(3)]),
+       n=st.integers(0, 40), src=st.integers(1, 3), dst=st.integers(1, 3),
+       pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=40))
+@settings(deadline=None, max_examples=300)
+def test_replay_matches_a_disk_tuple_model(graph, n, src, dst, pairs):
     moves = [Move(u, v) for u, v in pairs]
-    first = _first_illegal(graph, n, moves)
-    assert validate_plan(MovePlan(graph, n, 1, 4, moves, len(moves))).failure_index == first
-    legal = moves[:first]
-    round_trip = legal + [Move(v, u) for u, v in reversed(legal)]
-    report = validate_plan(MovePlan(graph, n, 1, 1, round_trip, len(round_trip)))
-    assert report.ok, report.failure
+    first, failure, allowed = _replay_model(graph, n, src, dst, moves)
+    assert _report(graph, n, src, dst, moves) == (
+        failure is None, len(moves) if first is None else first, first, failure)
+    # The allowed moves alone replay in full, and only the final position
+    # can fail them; undone in reverse order, they bring every disk home.
+    failure = _replay_model(graph, n, src, dst, allowed)[1]
+    assert _report(graph, n, src, dst, allowed) == (
+        failure is None, len(allowed), None, failure)
+    round_trip = allowed + [Move(v, u) for u, v in reversed(allowed)]
+    assert _report(graph, n, src, src, round_trip) == (True, len(round_trip), None, None)
 
 
 def test_complete_plan_lengths():
