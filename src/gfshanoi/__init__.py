@@ -14,14 +14,12 @@ stars, plus ``validate_plan`` and a ``bfs_optimal`` ground-truth search.
 _EXPORTS = {
     "gfs": ("GfsTable", "classic_params", "constant_case_closed_form", "gfs_diff",
             "gfs_fast", "gfs_oracle", "gfs_prefix", "optimal_split"),
-    "hanoi": ("DEFAULT_STATE_BUDGET", "BudgetError", "Move", "MovePlan", "PegGraph",
-              "ReplayReport", "bfs_optimal", "plan_complete", "plan_path3", "plan_star",
-              "star_params", "validate_plan"),
-    "planfile": ("ParseError", "graph_by_name", "parse_graph_spec", "parse_plan",
-                 "serialize_plan"),
-    "smooth": ("ParameterError", "Params", "SmoothTerm", "UnsupportedRegimeError",
-               "constant_p_term", "smooth_iter", "smooth_stream", "split_index_iter",
-               "split_indices", "split_indices_up_to"),
+    "hanoi": ("Move", "MovePlan", "PegGraph", "ReplayReport", "bfs_optimal", "plan_complete",
+              "plan_path3", "plan_star", "star_params", "validate_plan"),
+    "planfile": ("graph_by_name", "parse_graph_spec", "parse_plan", "serialize_plan"),
+    "smooth": ("DEFAULT_STATE_BUDGET", "BudgetError", "ParameterError", "ParseError", "Params",
+               "SmoothTerm", "UnsupportedRegimeError", "constant_p_term", "smooth_iter",
+               "smooth_stream", "split_index_iter", "split_indices", "split_indices_up_to"),
     "verify": ("run_suite",),
 }
 

@@ -20,23 +20,17 @@ from bisect import bisect_right
 from functools import partial
 from itertools import islice
 
-from .gfs import GfsTable, _gfs_walk
-from .hanoi import (
+# Each subcommand imports the modules only it needs, so a child compiles
+# (without cached bytecode) and loads no more of the package than it runs.
+from .smooth import (
     DEFAULT_STATE_BUDGET,
     BudgetError,
-    bfs_optimal,
-    plan_complete,
-    plan_path3,
-    plan_star,
-    validate_plan,
-)
-from .planfile import (ParseError, _decimal, graph_by_name, parse_graph_spec, parse_plan,
-                       serialize_plan)
-from .smooth import (
     ParameterError,
     Params,
+    ParseError,
     UnsupportedRegimeError,
     _at_least,
+    _decimal,
     smooth_iter,
     split_indices_up_to,
 )
@@ -164,6 +158,8 @@ def _resolve_budget(flag: int | None) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from .gfs import GfsTable, _gfs_walk
+
     params = Params.from_pairs(args.pq)
     lo, hi = args.n
     split = source = table = None  # split(n) is row n's split, for n >= 1
@@ -246,6 +242,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .hanoi import plan_complete, plan_path3, plan_star
+    from .planfile import graph_by_name, serialize_plan
+
     spec = args.graph.strip()
     if ";" in spec or spec.startswith("edges:"):
         raise ParameterError("planning supports only the named graphs K<k>, P3, and S<leaves>")
@@ -261,6 +260,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .hanoi import validate_plan
+    from .planfile import parse_plan
+
     if args.file in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -284,6 +286,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bfs(args: argparse.Namespace) -> int:
+    from .hanoi import bfs_optimal
+    from .planfile import parse_graph_spec
+
     budget = _resolve_budget(args.budget)
     graph = parse_graph_spec(args.graph)
     moves = bfs_optimal(graph, args.n, args.src, args.dst, budget)
@@ -297,7 +302,7 @@ def cmd_bfs(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_suite  # only this subcommand loads the suite
+    from .verify import run_suite
 
     seed = {} if args.seed is None else {"seed": args.seed}  # run_suite holds the default
     report = run_suite(max_n=args.max_n, **seed)

@@ -20,30 +20,46 @@ distinct one is built once per plan as a block, a string of move codes
 over those ranks, and reused: by concatenation where the pegs are the same,
 and through one ``str.translate`` into the ranks of one more peg.  Each
 planner returns a ``MovePlan`` whose length matches the corresponding
-generalized Frame-Stewart number, and whose moves share one ``Move``
-object per ordered pair of pegs it uses; ``validate_plan`` replays any
-plan against the rules and ``bfs_optimal`` computes the true optimum by
-exhaustive search.
+generalized Frame-Stewart number.  The plan carries its top block as its
+codes, one character per move, and builds its list of moves, one shared
+``Move`` object per ordered pair of pegs, only when ``moves`` is read.
+``validate_plan`` replays any plan against the rules, a planner's by its
+codes, and ``bfs_optimal`` computes the true optimum by exhaustive search.
+
+Replay and search never need the number routes, so ``gfs`` loads when a
+planner first runs.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import islice
 
-from .gfs import classic_params, gfs_fast, optimal_split
-from .smooth import ParameterError, Params, _Fields, _FrozenFields, _at_least
-
-DEFAULT_STATE_BUDGET = 5_000_000
-
-
-class BudgetError(RuntimeError):
-    """The state space is larger than the configured search budget."""
-
+from .smooth import (
+    DEFAULT_STATE_BUDGET,
+    BudgetError,
+    ParameterError,
+    Params,
+    _Fields,
+    _FrozenFields,
+    _at_least,
+)
 
 Move = namedtuple("Move", ("from_peg", "to_peg"))
+
+
+def __getattr__(name: str):
+    # The names this module once imported from gfs stay readable here, and
+    # load gfs on first use.
+    if name in ("classic_params", "gfs_fast", "optimal_split"):
+        from . import gfs
+
+        globals()[name] = value = getattr(gfs, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PegGraph(_FrozenFields):
@@ -125,7 +141,20 @@ class PegGraph(_FrozenFields):
 
 
 class MovePlan(_Fields):
-    __slots__ = ("graph", "n", "src", "dst", "moves", "predicted_length")
+    """``moves`` taking ``n`` disks from peg ``src`` to peg ``dst`` of ``graph``,
+    and the length a planner predicts for them.
+
+    A planner's or a parser's plan may hold its moves as codes instead: a
+    ``str`` of ``chr((u - 1) * pegs + (v - 1))`` for a move from peg u to
+    peg v, where pegs is the graph's peg count when the codes were made.
+    ``moves`` is then built on first read, one ``Move`` per distinct code.
+    Once ``moves`` is read or assigned, the list is the plan and the codes
+    are dropped, so ``serialize_plan`` and ``validate_plan`` read codes only
+    while they are the truth.
+    """
+
+    __slots__ = ("graph", "n", "src", "dst", "_moves", "predicted_length", "_codes")
+    _fields = ("graph", "n", "src", "dst", "moves", "predicted_length")
 
     def __init__(self, graph: PegGraph, n: int, src: int, dst: int, moves: list[Move],
                  predicted_length: int) -> None:
@@ -133,8 +162,28 @@ class MovePlan(_Fields):
         self.n = n
         self.src = src
         self.dst = dst
-        self.moves = moves
+        self._moves = moves
+        self._codes = None  # (pegs, codes) while the plan holds codes
         self.predicted_length = predicted_length
+
+    @classmethod
+    def _from_codes(cls, graph: PegGraph, n: int, src: int, dst: int, codes: str,
+                    predicted_length: int) -> "MovePlan":
+        plan = cls(graph, n, src, dst, None, predicted_length)
+        plan._codes = (graph.pegs, codes)
+        return plan
+
+    @property
+    def moves(self) -> list[Move]:
+        if self._codes is not None:
+            pegs, codes = self._codes
+            arcs = _Memo(lambda code: Move(ord(code) // pegs + 1, ord(code) % pegs + 1))
+            self._moves, self._codes = list(map(arcs.__getitem__, codes)), None
+        return self._moves
+
+    @moves.setter
+    def moves(self, moves: list[Move]) -> None:
+        self._moves, self._codes = moves, None
 
 
 def _label(peg: int) -> int:
@@ -198,9 +247,11 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
     k = graph.pegs.  Three pegs follow one rule around the middle.  A wider
     sub-plan is its park block, then the cross step's block (ranked among
     w - 1 pegs) relabelled into its ranks by one ``str.translate``, then
-    its unpark block.  Each (w, m) split is fetched once per plan.  The
-    top block's ranks are peg - 1, and each distinct code becomes one
-    ``Move`` that the whole plan shares.
+    its unpark block.  The split of m disks on w pegs is the number of the
+    family's split indices up to m, as ``optimal_split`` counts them, so
+    each width lists its split indices up to n once per plan and each split
+    is one ``bisect_right``.  The top block's ranks are peg - 1, so it is
+    the plan's codes.
 
     Codes reach k * k - 1 and code points stop at 0x10FFFF, so blocks serve
     k <= 1055.  The split lookups nest one generator per base, and this
@@ -208,10 +259,14 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
     ``MAX_BASES + 2`` (``smooth.MAX_BASES``), where Python's stack still has
     room on every supported version.
     """
+    # Read at call time, so a tracer that wraps either sees each call.
+    from .gfs import gfs_fast
+    from .smooth import split_indices_up_to
+
     k = graph.pegs
     mid = graph.hub - 1  # the middle's rank; -1, no rank, on K_k
     blocks: dict[tuple[int, int, int, int], str] = {}
-    splits: dict[tuple[int, int], int] = {}
+    marks = _Memo(lambda w: split_indices_up_to(family(w).bases, n))  # no sub-plan moves more
 
     def lifted(park: int) -> _Memo:
         """``str.translate`` table from codes ranked among w - 1 pegs to the
@@ -235,9 +290,7 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
                 ends = block(3, m - 1, a, b)
                 out = ends + chr(a * k + c) + block(3, m - 1, b, a) + chr(c * k + b) + ends
         else:
-            if (w, m) not in splits:
-                splits[w, m] = optimal_split(family(w), m)
-            t = splits[w, m]
+            t = bisect_right(marks[w], m)
             # The lowest and the highest spare rank are among these.
             park = choose_park({0, 1, 2, w - 3, w - 2, w - 1} - {a, b})
             cross = block(w - 1, t, a - (a > park), b - (b > park))
@@ -246,10 +299,7 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
         return out
 
     top = block(k, n, src - 1, dst - 1)
-    blocks.clear()  # the plan's list of moves needs only the top block
-    arcs = _Memo(lambda code: Move(ord(code) // k + 1, ord(code) % k + 1))
-    moves = list(map(arcs.__getitem__, top))
-    return MovePlan(graph, n, src, dst, moves, gfs_fast(family(k), n))
+    return MovePlan._from_codes(graph, n, src, dst, top, gfs_fast(family(k), n))
 
 
 def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
@@ -259,6 +309,8 @@ def plan_complete(k: int, n: int, src: int, dst: int) -> MovePlan:
     peg using all pegs, the t largest cross on the remaining k - 1 pegs,
     and the parked pile follows; t comes from ``optimal_split``.
     """
+    from .gfs import classic_params
+
     graph = PegGraph.complete(_at_least(k, 3, "peg count"))
     return _plan(graph, *_check_endpoints(graph, n, src, dst), classic_params, min)
 
@@ -440,20 +492,41 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     Passes only if every move is legal, the final position has all disks on
     the destination, and the move count equals ``predicted_length``.
     """
-    graph, moves = plan.graph, plan.moves
+    graph = plan.graph
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
     # Edges and labels are judged once per distinct move, so the replay
-    # tests only the disks, up to the first move that is no edge.  Move(1.0,
-    # 3) == Move(1, 3) and set() keeps the first of equal moves: when that
-    # one is no edge, no later equal move is reached, and when it is, a
-    # later 1.0 fails to index ``top``.
-    bad = {move for move in set(moves) if not graph.has_edge(*move)}
-    stop = next(i for i, move in enumerate(moves) if move in bad) if bad else len(moves)
-    # Disk d moves only after d - 1 earlier moves, so disks past
-    # len(moves) + 1 never move; the one extra stays on src and fails the
-    # final check whenever src != dst.  A bare peg's top is ``bare``, larger
-    # than every disk, so any disk may land there and none leaves.
-    held = min(n, len(moves) + 1)
+    # tests only the disks, up to the first move that is no edge.
+    if plan._codes is None:
+        moves = plan.moves
+        count = len(moves)
+        # Move(1.0, 3) == Move(1, 3) and set() keeps the first of equal
+        # moves: when that one is no edge, no later equal move is reached,
+        # and when it is, a later 1.0 fails to index ``top``.
+        bad = {move for move in set(moves) if not graph.has_edge(*move)}
+        stop = next(i for i, move in enumerate(moves) if move in bad) if bad else count
+        move_at = moves.__getitem__
+    else:  # codes hash as cached one-character strings, not as tuples
+        pegs, codes = plan._codes
+        count = len(codes)
+        sources, targets = {}, {}  # each distinct code's two labels, by code point
+        for point in map(ord, set(codes)):
+            sources[point], targets[point] = point // pegs + 1, point % pegs + 1
+        bad = [chr(point) for point in sources
+               if not graph.has_edge(sources[point], targets[point])]
+        stop = min(map(codes.index, bad), default=count)
+        move_at = lambda i: (sources[ord(codes[i])], targets[ord(codes[i])])  # noqa: E731
+        # The labels, one character a move; as bytes (labels below 256) they
+        # iterate as ints, with no lookup per move.
+        froms, tos = codes.translate(sources), codes.translate(targets)
+        if pegs < 256:
+            moves = zip(froms.encode("latin-1"), tos.encode("latin-1"))
+        else:
+            moves = zip(map(ord, froms), map(ord, tos))
+    # Disk d moves only after d - 1 earlier moves, so disks past count + 1
+    # never move; the one extra stays on src and fails the final check
+    # whenever src != dst.  A bare peg's top is ``bare``, larger than every
+    # disk, so any disk may land there and none leaves.
+    held = min(n, count + 1)
     bare = held + 1
     top = [bare] * (graph.pegs + 1)
     top[src] = 1
@@ -476,13 +549,13 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
                        f"smaller disk {onto} at peg {v}")
         return ReplayReport(False, index, plan.predicted_length, index,
                             f"move {index} ({u}>{v}): {failure}")
-    if stop < len(moves):
-        u, v = moves[stop]
+    if stop < count:
+        u, v = move_at(stop)
         return ReplayReport(False, stop, plan.predicted_length, stop,
                             f"move {stop} ({u}>{v}): not-an-edge: no edge {u}-{v} in {graph.name}")
     failure = None
     if top.count(bare) + (top[dst] != bare) != graph.pegs + 1:  # a peg but dst holds a disk
         failure = f"final position is not all on peg {dst}"
-    elif len(moves) != plan.predicted_length:
-        failure = f"{len(moves)} moves but the plan predicts {plan.predicted_length}"
-    return ReplayReport(failure is None, len(moves), plan.predicted_length, None, failure)
+    elif count != plan.predicted_length:
+        failure = f"{count} moves but the plan predicts {plan.predicted_length}"
+    return ReplayReport(failure is None, count, plan.predicted_length, None, failure)

@@ -16,17 +16,22 @@ longer header number, peg count, edge label or graph size is a
 ``ParseError`` that names its field and digit count.  Trailing blank
 lines are tolerated; anything else is a ``ParseError``.
 
-A plan body repeats a few distinct lines (at most one per ordered edge
-when a planner wrote it), so ``parse_plan`` matches each distinct line
-once and maps the body through the result, and ``serialize_plan`` formats
-each distinct move once.
+A plan of at most 9 pegs has one-digit labels, so each of its lines is
+four characters.  A plan that holds move codes (see ``MovePlan``) is
+written from them, four bytes a move by slice assignment; and a body made
+only of ``u>v`` lines with labels 1..k and a final newline is read straight
+into codes, with no string per line.  Any other plan is written from its
+``Move`` list, formatting each distinct move once, and any other body is
+read line by line, matching each distinct line once; there the first line
+in file order that is no move is the one reported.
 """
 
 from __future__ import annotations
 
 import re
 
-from .hanoi import Move, MovePlan, PegGraph
+from .hanoi import Move, MovePlan, PegGraph, _Memo
+from .smooth import _DECIMAL_RE, ParseError, _decimal  # noqa: F401  (_decimal's old home)
 
 HEADER_MAGIC = "hanoi-plan v1"
 _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
@@ -34,22 +39,14 @@ _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
 _MOVE_RE = re.compile(r"^([0-9]+)>([0-9]+)$")
 _NAMED_RE = re.compile(r"^(P3|K([0-9]+)|S([0-9]+))$")
 _EDGE_LIST_RE = re.compile(r"^edges:([0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)$")
-_DECIMAL_RE = re.compile(r"[0-9]+")
-
-
-def _decimal(text: str) -> int:
-    """``int(text)`` for ASCII digits only, else ValueError.
-
-    ``int`` alone also takes signs, underscores and spaces; every
-    nonnegative integer read from outside goes through this rule.
-    """
-    if not _DECIMAL_RE.fullmatch(text):
-        raise ValueError(f"{text!r} is not a decimal integer")
-    return int(text)
-
-
-class ParseError(ValueError):
-    """Malformed plan file or graph spec."""
+# bytes.translate tables per peg count k <= 9, built on first use.  Writing:
+# code -> its from digit, code -> its to digit.  Reading: digit d -> (d - 1) * k
+# and digit d -> d - 1, with 255 for any byte that is no label 1..k.
+_DIGITS = _Memo(lambda k: (bytes(49 + code // k for code in range(256)),
+                           bytes(49 + code % k for code in range(256))))
+_LABELS = _Memo(lambda k: tuple(
+    bytes(scale * (byte - 49) if 49 <= byte < 49 + k else 255 for byte in range(256))
+    for scale in (k, 1)))
 
 
 def _limited(digits: str, what: str) -> int:
@@ -112,18 +109,81 @@ def serialize_plan(plan: MovePlan) -> str:
         f"{HEADER_MAGIC}; graph={plan.graph.name}; k={plan.graph.pegs}; "
         f"n={plan.n}; src={plan.src}; dst={plan.dst}; predicted={plan.predicted_length}"
     )
+    if plan._codes is not None and plan._codes[0] <= 9:
+        pegs, codes = plan._codes
+        head = (header + "\n").encode()
+        raw = codes.encode("ascii")  # codes < 81
+        start, count = len(head), len(raw)
+        out = bytearray(start + 4 * count)
+        out[:start] = head
+        froms, tos = _DIGITS[pegs]
+        out[start::4] = raw.translate(froms)
+        out[start + 1::4] = b">" * count
+        out[start + 2::4] = raw.translate(tos)
+        out[start + 3::4] = b"\n" * count
+        return out.decode()
     # Moves that compare equal share the text of the first one written.
     text = {move: f"{move.from_peg}>{move.to_peg}" for move in set(plan.moves)}
     return "\n".join([header, *map(text.__getitem__, plan.moves)]) + "\n"
 
 
+def _body_codes(text: str, start: int, pegs: int) -> str | None:
+    """The move codes of ``text[start:]`` when it is lines of exactly ``u>v``,
+    each ended by a newline, with labels 1..pegs and pegs <= 9; else None."""
+    count, extra = divmod(len(text) - start, 4)
+    # isascii is a flag check, and makes characters and bytes line up.
+    if extra or pegs > 9 or not text.isascii():
+        return None
+    if text[start + 1::4].count(">") != count or text[start + 3::4].count("\n") != count:
+        return None
+    rows, cols = _LABELS[pegs]
+    high = text[start::4].encode().translate(rows)
+    low = text[start + 2::4].encode().translate(cols)
+    if 255 in high or 255 in low:
+        return None
+    # A code is at most pegs * pegs - 1 < 256, so the sum of the two byte
+    # strings read as big-endian integers adds them byte by byte, with no carry.
+    codes = int.from_bytes(high, "big") + int.from_bytes(low, "big")
+    return codes.to_bytes(count, "big").decode()
+
+
 def parse_plan(text: str) -> MovePlan:
+    end = text.find("\n")
+    if end > 0:  # a header line that is not blank: the body may be read as codes
+        graph, n, src, dst, predicted = _header(text[:end])
+        codes = _body_codes(text, end + 1, graph.pegs)
+        if codes is not None:
+            return MovePlan._from_codes(graph, n, src, dst, codes, predicted)
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError("empty plan file")
-    fields = [fld.strip() for fld in lines[0].split(";")]
+    graph, n, src, dst, predicted = _header(lines[0])
+
+    # A plan repeats a few distinct lines, so each one is matched once; the
+    # first line in file order that is no move is the one reported.
+    body = lines[1:]
+    move_of: dict[str, Move] = {}
+    for line in set(body):
+        m = _MOVE_RE.match(line.strip())
+        if m:
+            try:
+                move_of[line] = Move(int(m.group(1)), int(m.group(2)))
+            except ValueError:  # a label past the int/str limit is no peg
+                pass
+    try:
+        moves = list(map(move_of.__getitem__, body))
+    except KeyError:
+        for lineno, line in enumerate(body, start=2):
+            if line not in move_of:
+                raise ParseError(f"line {lineno}: bad move {line!r}") from None
+    return MovePlan(graph, n, src, dst, moves, predicted)
+
+
+def _header(line: str) -> tuple[PegGraph, int, int, int, int]:
+    """(graph, n, src, dst, predicted) from a plan's header line, else ParseError."""
+    fields = [fld.strip() for fld in line.split(";")]
     if fields[0] != HEADER_MAGIC:
         raise ParseError(f"bad header magic {fields[0]!r}")
     if len(fields) != 1 + len(_HEADER_KEYS):
@@ -152,22 +212,4 @@ def parse_plan(text: str) -> MovePlan:
     for key, peg in (("src", src), ("dst", dst)):
         if not 1 <= peg <= pegs:
             raise ParseError(f"{key}={peg} is not a peg of {token}")
-
-    # A plan repeats a few distinct lines, so each one is matched once; the
-    # first line in file order that is no move is the one reported.
-    body = lines[1:]
-    move_of: dict[str, Move] = {}
-    for line in set(body):
-        m = _MOVE_RE.match(line.strip())
-        if m:
-            try:
-                move_of[line] = Move(int(m.group(1)), int(m.group(2)))
-            except ValueError:  # a label past the int/str limit is no peg
-                pass
-    try:
-        moves = list(map(move_of.__getitem__, body))
-    except KeyError:
-        for lineno, line in enumerate(body, start=2):
-            if line not in move_of:
-                raise ParseError(f"line {lineno}: bad move {line!r}") from None
-    return MovePlan(graph, n, src, dst, moves, predicted)
+    return graph, n, src, dst, predicted

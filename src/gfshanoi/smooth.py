@@ -15,11 +15,17 @@ tests, is the term-level check on the runs.
 The index origin is 3 throughout: the first base/weight pair belongs to the
 3-peg level, the next to the 4-peg level, and so on, which puts
 ``k = len(bases) + 2``.
+
+Every other module imports this one, so it also holds what they and the CLI
+share: the error types, the record bases, the default search budget and the
+decimal rule for numbers read from outside.  A CLI child that computes
+numbers then loads neither the puzzle side nor the plan format.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from collections import deque, namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import count, islice, repeat, takewhile
@@ -34,8 +40,33 @@ class UnsupportedRegimeError(ValueError):
     """The operation needs every base >= 2 but a base equal to 1 was given."""
 
 
+class ParseError(ValueError):
+    """Malformed plan file or graph spec."""
+
+
+class BudgetError(RuntimeError):
+    """The state space is larger than the configured search budget."""
+
+
+DEFAULT_STATE_BUDGET = 5_000_000
+
+# ASCII digits only: str.isdigit takes "²", which int() rejects; int() takes "٣".
+_DECIMAL_RE = re.compile(r"[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits only, else ValueError.
+
+    ``int`` alone also takes signs, underscores and spaces; every
+    nonnegative integer read from outside goes through this rule.
+    """
+    if not _DECIMAL_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 class _Fields:
-    """``repr`` and ``==`` over the fields that ``__slots__`` names, in order,
+    """``repr`` and ``==`` over the fields that ``_fields`` names, in order,
     as a dataclass has them; equal only to an instance of the same class.
 
     Each subclass writes its own ``__init__``: a loop over the fields made
@@ -44,8 +75,13 @@ class _Fields:
 
     __slots__ = ()
 
+    @property
+    def _fields(self) -> tuple[str, ...]:
+        """The fields: ``__slots__``, unless a class keeps private slots too."""
+        return self.__slots__
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -55,7 +91,7 @@ class _Fields:
     __hash__ = None  # equal by fields, so only a frozen class may hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle through __init__, which frozen classes need

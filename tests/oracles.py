@@ -6,9 +6,11 @@ sorting, split indices from a literal scan, the move numbers from the
 defining recursion with a memo dict, and Hanoi optima from a plain
 breadth-first search over tuples of peg labels.  The one exception is the
 textbook planner, which takes its split from ``gfs.optimal_split`` (tested
-on its own against the recurrence) and spells out everything else.
+on its own against the recurrence) and spells out everything else.  Plan
+bodies are read by one regular expression per line.
 """
 
+import re
 from collections import deque
 from functools import lru_cache
 from itertools import product
@@ -168,4 +170,24 @@ def textbook_plan(kind, pegs, n, src, dst):
         transfer(in_play, m - t, park, b)
 
     transfer(tuple(range(1, pegs + 1)), n, src, dst)
+    return moves
+
+
+def read_plan_moves(text):
+    """The (from, to) pairs of a plan text's body, read one line at a time.
+
+    The first line is the header, which is skipped.  Blank lines at the end
+    are dropped; every other body line must be two ASCII decimal labels
+    joined by ``>``, with optional whitespace around them.  The first line
+    in file order that is not raises ValueError("line N: bad move '...'").
+    """
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    moves = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        match = re.fullmatch(r"\s*([0-9]+)>([0-9]+)\s*", line)
+        if match is None:
+            raise ValueError(f"line {lineno}: bad move {line!r}")
+        moves.append((int(match.group(1)), int(match.group(2))))
     return moves

@@ -6,7 +6,8 @@ import pickle
 import pytest
 
 from gfshanoi.gfs import GfsTable
-from gfshanoi.hanoi import Move, MovePlan, PegGraph, ReplayReport, validate_plan
+from gfshanoi.hanoi import Move, MovePlan, PegGraph, ReplayReport, plan_complete, validate_plan
+from gfshanoi.planfile import parse_plan, serialize_plan
 from gfshanoi.smooth import ParameterError, Params
 from gfshanoi.verify import CheckResult, run_suite
 
@@ -124,6 +125,41 @@ def test_hand_built_plan_replays():
     plan = MovePlan(K3, 2, 1, 3, [Move(1, 2)], 3)
     plan.moves += [Move(1, 3), Move(2, 3)]
     assert validate_plan(plan).ok
+
+
+def test_a_planner_plan_follows_its_moves_once_they_change():
+    # A planner's plan holds move codes until ``moves`` is read or assigned;
+    # from then on the writer and the replay read the list.
+    head = "hanoi-plan v1; graph=K3; k=3; n=2; src=1; dst=3; predicted=3\n"
+    unfinished = "final position is not all on peg 3"
+    plan = plan_complete(3, 2, 1, 3)
+    plan.moves = [Move(1, 3)]
+    assert serialize_plan(plan) == head + "1>3\n"
+    assert validate_plan(plan) == ReplayReport(False, 1, 3, None, unfinished)
+    plan = plan_complete(3, 2, 1, 3)
+    plan.moves += [Move(3, 1)]
+    assert serialize_plan(plan) == head + "1>2\n1>3\n2>3\n3>1\n"
+    assert validate_plan(plan) == ReplayReport(False, 4, 3, None, unfinished)
+    plan = plan_complete(3, 2, 1, 3)
+    plan.moves.append(Move(1, 2))
+    assert serialize_plan(plan) == head + "1>2\n1>3\n2>3\n1>2\n"
+    assert validate_plan(plan) == ReplayReport(
+        False, 3, 3, 3, "move 3 (1>2): empty-source: peg 1 is bare")
+
+
+def test_plans_from_codes_keep_repr_and_equality():
+    # A planner's and a parser's plan hold codes; a hand-built one, a list.
+    hand = MovePlan(K3, 2, 1, 3, [Move(1, 2), Move(1, 3), Move(2, 3)], 3)
+    text = ("MovePlan(graph=PegGraph(pegs=3, name='K3', hub=0, around=()), n=2, src=1, dst=3, "
+            "moves=[Move(from_peg=1, to_peg=2), Move(from_peg=1, to_peg=3), "
+            "Move(from_peg=2, to_peg=3)], predicted_length=3)")
+    planned, parsed = plan_complete(3, 2, 1, 3), parse_plan(serialize_plan(hand))
+    assert planned == parsed and not planned != parsed
+    for plan in (plan_complete(3, 2, 1, 3), parse_plan(serialize_plan(hand)), hand):
+        assert plan == hand and hand == plan
+        assert repr(plan) == text
+    assert plan_complete(3, 2, 1, 3) != plan_complete(3, 2, 1, 2)
+    assert plan_complete(3, 2, 1, 3) != MovePlan(K3, 2, 1, 3, [Move(1, 3)], 3)
 
 
 def test_verify_json_keys_keep_their_order():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gfshanoi.cli as cli
+import gfshanoi.gfs as gfs
 import gfshanoi.verify as verify_mod
 from gfshanoi.gfs import GfsTable
 from gfshanoi.smooth import MAX_BASES
@@ -71,7 +72,7 @@ def test_compute_oracle_match(capsys):
 
 
 def test_compute_oracle_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_gfs_walk", lambda params, n_max: iter([0] + [1] * n_max))
+    monkeypatch.setattr(gfs, "_gfs_walk", lambda params, n_max: iter([0] + [1] * n_max))
     code, _, err = run(capsys, "compute", "--pq", "2:1", "--n", "0..4", "--oracle")
     assert code == 2
     assert "mismatch" in err
@@ -548,7 +549,8 @@ def test_wider_families_exit_1(capsys, argv, width):
 def test_cli_import_skips_dataclasses_and_verify():
     # -S leaves out site, whose .pth files may import anything.  A bare
     # package import loads no submodule, and the CLI loads neither typing
-    # nor json.  The child runs verify after the check, so its lazy import
+    # nor json.  A compute run loads neither the puzzle side nor the plan
+    # format.  The child runs verify after the checks, so its lazy import
     # is the first one.
     code = (
         "import sys, gfshanoi\n"
@@ -556,14 +558,20 @@ def test_cli_import_skips_dataclasses_and_verify():
         "import gfshanoi.cli\n"
         "heavy = [m for m in ('typing', 'json', 'dataclasses', 'inspect', 'pathlib',"
         " 'gfshanoi.verify') if m in sys.modules]\n"
+        "gfshanoi.cli.main(['compute', '--pq', '2:1', '--pq', '2:1', '--n', '3', '--splits',"
+        " '--oracle'])\n"
+        "puzzle = [m for m in ('gfshanoi.hanoi', 'gfshanoi.planfile') if m in sys.modules]\n"
         "code = gfshanoi.cli.main(['verify', '--max-n', '1'])\n"
         "from gfshanoi import run_suite\n"
-        "print(bare, heavy, code, run_suite.__module__, file=sys.stderr)\n")
+        "print(bare, heavy, puzzle, code, run_suite.__module__, file=sys.stderr)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "[] [] 0 gfshanoi.verify\n")
-    assert json.loads(proc.stdout)["ok"] is True
+    assert (proc.returncode, proc.stderr) == (
+        0, "oracle: match (4 checked)\n[] [] [] 0 gfshanoi.verify\n")
+    head, row, report = proc.stdout.split("\n", 2)
+    assert (head, row) == ("n value diff split", "3 5 2 2")
+    assert json.loads(report)["ok"] is True
 
 
 def test_every_export_is_the_object_its_module_defines():
@@ -578,6 +586,14 @@ def test_every_export_is_the_object_its_module_defines():
         assert getattr(gfshanoi, module) is sys.modules[f"gfshanoi.{module}"]
         assert value is getattr(sys.modules[f"gfshanoi.{module}"], name), name
         assert getattr(value, "__module__", f"gfshanoi.{module}") == f"gfshanoi.{module}", name
+    # Names that moved keep their old homes, as the same objects; hanoi's
+    # names from gfs load gfs on first use.
+    moved = [("hanoi", "smooth", ("BudgetError", "DEFAULT_STATE_BUDGET")),
+             ("hanoi", "gfs", ("classic_params", "gfs_fast", "optimal_split")),
+             ("planfile", "smooth", ("ParseError", "_decimal"))]
+    for old, new, names in moved:
+        for name in names:
+            assert getattr(getattr(gfshanoi, old), name) is getattr(getattr(gfshanoi, new), name)
     names = {}
     exec("from gfshanoi import *", names)
     del names["__builtins__"]

@@ -15,6 +15,7 @@ from gfshanoi.hanoi import (
     Move,
     MovePlan,
     PegGraph,
+    ReplayReport,
     bfs_optimal,
     plan_complete,
     plan_path3,
@@ -23,8 +24,8 @@ from gfshanoi.hanoi import (
     validate_plan,
 )
 from gfshanoi.planfile import parse_plan, serialize_plan
-from gfshanoi.smooth import MAX_BASES, ParameterError
-from oracles import brute_hanoi_distance, textbook_plan
+from gfshanoi.smooth import MAX_BASES, ParameterError, ParseError
+from oracles import brute_hanoi_distance, read_plan_moves, textbook_plan
 
 
 def test_graph_constructors():
@@ -196,6 +197,67 @@ def test_replay_matches_a_disk_tuple_model(graph, n, src, dst, pairs):
         failure is None, len(allowed), None, failure)
     round_trip = allowed + [Move(v, u) for u, v in reversed(allowed)]
     assert _report(graph, n, src, src, round_trip) == (True, len(round_trip), None, None)
+
+
+# The edits a plan file may suffer on one of its lines.
+MUTATIONS = ("space", "tab", "cr", "zero", "label-0", "label-past-k", "arrow", "self-loop",
+             "repeat", "blank", "no-final-newline", "blank-end")
+
+
+def _mutate(kind, lines, at, pegs):
+    """``lines``, a plan text split at its newlines, with one edit at line ``at``."""
+    line = lines[at] if at < len(lines) else ""
+    u, _, v = line.partition(">")
+    edits = {"space": " " + line, "tab": line + "\t", "cr": line + "\r", "zero": "0" + line,
+             "label-0": f"0>{v}", "label-past-k": f"{u}>{pegs + 1}",
+             "arrow": line.replace(">", "->"), "self-loop": "1>1"}
+    if kind in edits:
+        return lines[:at] + [edits[kind]] + lines[at + 1:]
+    if kind == "repeat":
+        return lines[:at + 1] + [line] + lines[at + 1:]
+    if kind == "blank":
+        return lines[:at] + [""] + lines[at:]
+    if kind == "no-final-newline":
+        return lines[:-1] if len(lines) > 1 and lines[-1] == "" else lines
+    return lines + ["", ""]  # blank lines at the end
+
+
+PLANNED = [("K", k) for k in range(3, 10)] + [("P", 3)] + [("S", pegs) for pegs in range(3, 10)]
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_parse_and_replay_match_a_line_reader(data):
+    # Planner output on K3-K9, P3 and S2-S8, as written or with edits: the
+    # package's reader and replay against one regex per line and the model.
+    kind, pegs = data.draw(st.sampled_from(PLANNED))
+    n = data.draw(st.integers(0, 6))
+    src, dst = data.draw(st.permutations(range(2 if kind == "S" else 1, pegs + 1)))[:2]
+    if kind == "K":
+        plan = plan_complete(pegs, n, src, dst)
+    elif kind == "S":
+        plan = plan_star(pegs - 1, n, src, dst)
+    else:
+        plan = plan_path3(n, src, dst)
+    lines = serialize_plan(plan).split("\n")
+    for edit in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        lines = _mutate(edit, lines, data.draw(st.integers(1, max(len(lines) - 1, 1))), pegs)
+    text = "\n".join(lines)
+    try:
+        moves = read_plan_moves(text)
+    except ValueError as refused:
+        with pytest.raises(ParseError) as raised:
+            parse_plan(text)
+        assert str(raised.value) == str(refused)
+        return
+    parsed = parse_plan(text)
+    report = validate_plan(parsed)
+    first, failure, _ = _replay_model(plan.graph, n, src, dst, [Move(*move) for move in moves])
+    if failure is None and len(moves) != plan.predicted_length:
+        failure = f"{len(moves)} moves but the plan predicts {plan.predicted_length}"
+    assert report == ReplayReport(failure is None, len(moves) if first is None else first,
+                                  plan.predicted_length, first, failure)
+    assert parsed.moves == moves
 
 
 def test_complete_plan_lengths():

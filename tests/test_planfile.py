@@ -152,6 +152,20 @@ def test_plans_hold_one_move_per_edge():
     assert held < 1.5e6
 
 
+def test_parse_and_replay_memory_follows_the_codes():
+    # 262,143 moves: a list of them alone would take 2.1 MB, and a string per
+    # line about 15 MB.  A planner's body is read into one code a move.
+    text = serialize_plan(plan_complete(3, 18, 1, 3))
+    tracemalloc.start()
+    try:
+        report = validate_plan(parse_plan(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.ok, report.moves_applied) == (True, 2**18 - 1)
+    assert peak < 5e6, peak
+
+
 @pytest.fixture
 def int_limit():
     """Python's default int/str conversion limit, 4,300 digits, for one test."""
