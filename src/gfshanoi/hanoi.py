@@ -53,7 +53,8 @@ Move = namedtuple("Move", ("from_peg", "to_peg"))
 
 def __getattr__(name: str):
     # The names this module once imported from gfs stay readable here, and
-    # load gfs on first use.
+    # load gfs on first use: perfbench's tracer wraps hanoi.gfs_fast and
+    # hanoi.optimal_split by name.  The planners read them from gfs.
     if name in ("classic_params", "gfs_fast", "optimal_split"):
         from . import gfs
 
@@ -177,13 +178,24 @@ class MovePlan(_Fields):
     def moves(self) -> list[Move]:
         if self._codes is not None:
             pegs, codes = self._codes
-            arcs = _Memo(lambda code: Move(ord(code) // pegs + 1, ord(code) % pegs + 1))
+            froms, tos = _LABEL_TABLES[pegs, 0]
+            arcs = _Memo(lambda code: Move(froms[ord(code)], tos[ord(code)]))
             self._moves, self._codes = list(map(arcs.__getitem__, codes)), None
         return self._moves
 
     @moves.setter
     def moves(self, moves: list[Move]) -> None:
         self._moves, self._codes = moves, None
+
+    def _labels(self, most: int | None = None, zero: int = 0) -> tuple[str, str] | None:
+        """The labels of the moves' from pegs and to pegs, one character
+        ``chr(zero + peg)`` a move, while the plan holds codes on at most
+        ``most`` pegs (any number when None); else None."""
+        if self._codes is None or (most is not None and self._codes[0] > most):
+            return None
+        pegs, codes = self._codes
+        froms, tos = _LABEL_TABLES[pegs, zero]
+        return codes.translate(froms), codes.translate(tos)
 
 
 def _label(peg: int) -> int:
@@ -233,6 +245,17 @@ class _Memo(dict):
         return value
 
 
+def _label_tables(key: tuple[int, int]) -> tuple[_Memo, _Memo]:
+    """``str.translate`` tables from a code among ``pegs`` pegs to its from
+    peg and to its to peg, each as ``chr(zero + peg)``."""
+    pegs, zero = key
+    return (_Memo(lambda point: zero + point // pegs + 1),
+            _Memo(lambda point: zero + point % pegs + 1))
+
+
+_LABEL_TABLES = _Memo(_label_tables)  # by (pegs, zero), each filled as codes appear
+
+
 def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> MovePlan:
     """Park / cross / unpark on ``graph``'s pegs, realizing ``family(graph.pegs)``.
 
@@ -247,11 +270,11 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
     k = graph.pegs.  Three pegs follow one rule around the middle.  A wider
     sub-plan is its park block, then the cross step's block (ranked among
     w - 1 pegs) relabelled into its ranks by one ``str.translate``, then
-    its unpark block.  The split of m disks on w pegs is the number of the
-    family's split indices up to m, as ``optimal_split`` counts them, so
-    each width lists its split indices up to n once per plan and each split
-    is one ``bisect_right``.  The top block's ranks are peg - 1, so it is
-    the plan's codes.
+    its unpark block.  The split of m disks on w pegs, ``optimal_split``,
+    is the number of the family's split indices up to m, so each width
+    lists its ``optimal_split(family(w), n)`` split indices once per plan
+    and each split is one ``bisect_right`` into them.  The top block's
+    ranks are peg - 1, so it is the plan's codes.
 
     Codes reach k * k - 1 and code points stop at 0x10FFFF, so blocks serve
     k <= 1055.  The split lookups nest one generator per base, and this
@@ -259,14 +282,15 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
     ``MAX_BASES + 2`` (``smooth.MAX_BASES``), where Python's stack still has
     room on every supported version.
     """
-    # Read at call time, so a tracer that wraps either sees each call.
-    from .gfs import gfs_fast
-    from .smooth import split_indices_up_to
+    # Read at call time, so a tracer that wraps one sees each call.
+    from .gfs import gfs_fast, optimal_split
+    from .smooth import split_indices
 
     k = graph.pegs
     mid = graph.hub - 1  # the middle's rank; -1, no rank, on K_k
     blocks: dict[tuple[int, int, int, int], str] = {}
-    marks = _Memo(lambda w: split_indices_up_to(family(w).bases, n))  # no sub-plan moves more
+    # No sub-plan moves more than n disks.
+    marks = _Memo(lambda w: split_indices(family(w).bases, optimal_split(family(w), n)))
 
     def lifted(park: int) -> _Memo:
         """``str.translate`` table from codes ranked among w - 1 pegs to the
@@ -496,7 +520,8 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
     # Edges and labels are judged once per distinct move, so the replay
     # tests only the disks, up to the first move that is no edge.
-    if plan._codes is None:
+    labels = plan._labels(255)
+    if labels is None:
         moves = plan.moves
         count = len(moves)
         # Move(1.0, 3) == Move(1, 3) and set() keeps the first of equal
@@ -506,22 +531,15 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
         stop = next(i for i, move in enumerate(moves) if move in bad) if bad else count
         move_at = moves.__getitem__
     else:  # codes hash as cached one-character strings, not as tuples
-        pegs, codes = plan._codes
+        codes = plan._codes[1]
         count = len(codes)
-        sources, targets = {}, {}  # each distinct code's two labels, by code point
-        for point in map(ord, set(codes)):
-            sources[point], targets[point] = point // pegs + 1, point % pegs + 1
-        bad = [chr(point) for point in sources
-               if not graph.has_edge(sources[point], targets[point])]
-        stop = min(map(codes.index, bad), default=count)
-        move_at = lambda i: (sources[ord(codes[i])], targets[ord(codes[i])])  # noqa: E731
-        # The labels, one character a move; as bytes (labels below 256) they
-        # iterate as ints, with no lookup per move.
-        froms, tos = codes.translate(sources), codes.translate(targets)
-        if pegs < 256:
-            moves = zip(froms.encode("latin-1"), tos.encode("latin-1"))
-        else:
-            moves = zip(map(ord, froms), map(ord, tos))
+        # Labels below 256 fit a byte, so they iterate as ints with no lookup
+        # per move.  A code stands for one move, judged at its first place.
+        froms, tos = (side.encode("latin-1") for side in labels)
+        stop = min((i for i in map(codes.index, set(codes))
+                    if not graph.has_edge(froms[i], tos[i])), default=count)
+        move_at = lambda i: (froms[i], tos[i])  # noqa: E731
+        moves = zip(froms, tos)
     # Disk d moves only after d - 1 earlier moves, so disks past count + 1
     # never move; the one extra stays on src and fails the final check
     # whenever src != dst.  A bare peg's top is ``bare``, larger than every

@@ -39,11 +39,9 @@ _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
 _MOVE_RE = re.compile(r"^([0-9]+)>([0-9]+)$")
 _NAMED_RE = re.compile(r"^(P3|K([0-9]+)|S([0-9]+))$")
 _EDGE_LIST_RE = re.compile(r"^edges:([0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)$")
-# bytes.translate tables per peg count k <= 9, built on first use.  Writing:
-# code -> its from digit, code -> its to digit.  Reading: digit d -> (d - 1) * k
-# and digit d -> d - 1, with 255 for any byte that is no label 1..k.
-_DIGITS = _Memo(lambda k: (bytes(49 + code // k for code in range(256)),
-                           bytes(49 + code % k for code in range(256))))
+# bytes.translate tables per peg count k <= 9, built on first use, that read
+# digit d as (d - 1) * k and as d - 1, with 255 for any byte that is no label
+# 1..k: the two parts of a move code.
 _LABELS = _Memo(lambda k: tuple(
     bytes(scale * (byte - 49) if 49 <= byte < 49 + k else 255 for byte in range(256))
     for scale in (k, 1)))
@@ -109,17 +107,16 @@ def serialize_plan(plan: MovePlan) -> str:
         f"{HEADER_MAGIC}; graph={plan.graph.name}; k={plan.graph.pegs}; "
         f"n={plan.n}; src={plan.src}; dst={plan.dst}; predicted={plan.predicted_length}"
     )
-    if plan._codes is not None and plan._codes[0] <= 9:
-        pegs, codes = plan._codes
+    labels = plan._labels(9, ord("0"))
+    if labels is not None:  # one digit a label
         head = (header + "\n").encode()
-        raw = codes.encode("ascii")  # codes < 81
-        start, count = len(head), len(raw)
+        froms, tos = (side.encode() for side in labels)
+        start, count = len(head), len(froms)
         out = bytearray(start + 4 * count)
         out[:start] = head
-        froms, tos = _DIGITS[pegs]
-        out[start::4] = raw.translate(froms)
+        out[start::4] = froms
         out[start + 1::4] = b">" * count
-        out[start + 2::4] = raw.translate(tos)
+        out[start + 2::4] = tos
         out[start + 3::4] = b"\n" * count
         return out.decode()
     # Moves that compare equal share the text of the first one written.

@@ -135,21 +135,26 @@ def test_equal_moves_share_one_text():
 
 
 def test_plans_hold_one_move_per_edge():
-    # 65,535 moves: one Move each would take about 4.5 MB.
+    # 65,535 moves: one Move each would take about 4.5 MB, and the list of
+    # them 0.5 MB.  Reading ``moves`` builds the list from the codes.
     tracemalloc.start()
     try:
         plan = plan_complete(3, 16, 1, 3)
-        planned = tracemalloc.get_traced_memory()[1]
         text = serialize_plan(plan)
-        del plan
+        planned = plan.moves
+        built = tracemalloc.get_traced_memory()[1]
+        del plan, planned
         before = tracemalloc.get_traced_memory()[0]
         back = parse_plan(text)
+        parsed = back.moves
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(back.moves) == 2**16 - 1
-    assert planned < 1.5e6
+    assert len(parsed) == 2**16 - 1
+    assert built < 1.5e6
     assert held < 1.5e6
+    for plan in (plan_complete(3, 16, 1, 3), parse_plan(text)):
+        assert len(set(map(id, plan.moves))) == 6  # one per ordered pair of pegs
 
 
 def test_parse_and_replay_memory_follows_the_codes():
