@@ -187,11 +187,11 @@ class MovePlan(_Fields):
     def moves(self, moves: list[Move]) -> None:
         self._moves, self._codes = moves, None
 
-    def _labels(self, most: int | None = None, zero: int = 0) -> tuple[str, str] | None:
+    def _labels(self, most: int, zero: int = 0) -> tuple[str, str] | None:
         """The labels of the moves' from pegs and to pegs, one character
         ``chr(zero + peg)`` a move, while the plan holds codes on at most
-        ``most`` pegs (any number when None); else None."""
-        if self._codes is None or (most is not None and self._codes[0] > most):
+        ``most`` pegs; else None."""
+        if self._codes is None or self._codes[0] > most:
             return None
         pegs, codes = self._codes
         froms, tos = _LABEL_TABLES[pegs, zero]
