@@ -323,6 +323,9 @@ def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> M
         return out
 
     top = block(k, n, src - 1, dst - 1)
+    # ``block`` calls itself through its closure, a reference cycle that
+    # would keep ``blocks`` until the next full collection.
+    del block
     return MovePlan._from_codes(graph, n, src, dst, top, gfs_fast(family(k), n))
 
 
@@ -425,15 +428,23 @@ def bfs_optimal(
         """
         levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
 
-        def fill(c: int, j: int = count) -> tuple:
-            p, rest = divmod(c, k ** (j - 1))  # peg p holds the largest disk
-            pegs, code, moves = levels[j - 1][rest] or fill(rest, j - 1)
-            step, bit = k ** (first + j - 1), 1 << p
-            if not pegs & bit:  # it is the top disk there
-                moves += tuple(((v - p) * step, (bit | 1 << v) if first else 0,
-                                (sigma[v] - sigma[p]) * step)
-                               for v in around[p] if not pegs >> v & 1)
-            levels[j][c] = row = (pegs | bit, code + sigma[p] * step, moves)
+        def fill(c: int) -> tuple:
+            # A loop, not a recursion: a closure that calls itself is a
+            # reference cycle, which would keep ``levels`` until the next
+            # full collection.  Level 0's one row is always there.
+            j = count - 1
+            while levels[j][c % k**j] is None:
+                j -= 1
+            row = levels[j][c % k**j]
+            for j in range(j + 1, count + 1):
+                p = c // k ** (j - 1) % k  # peg p holds disk j, the largest so far
+                pegs, code, moves = row
+                step, bit = k ** (first + j - 1), 1 << p
+                if not pegs & bit:  # it is the top disk there
+                    moves += tuple(((v - p) * step, (bit | 1 << v) if first else 0,
+                                    (sigma[v] - sigma[p]) * step)
+                                   for v in around[p] if not pegs >> v & 1)
+                levels[j][c % k**j] = row = (pegs | bit, code + sigma[p] * step, moves)
             return row
 
         return levels[count], fill

@@ -24,6 +24,7 @@ numbers then loads neither the puzzle side nor the plan format.
 
 from __future__ import annotations
 
+import gc
 import operator
 import re
 from collections import deque, namedtuple
@@ -234,6 +235,13 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     # term is popped only after the shifted term just emitted has entered
     # ``pending``, so it is never empty.  When the empty-base level's stream
     # ends, the shifted branch goes on alone.
+    #
+    # Every term of one value holds one int object, so a run of equal values
+    # keeps one int however long it is.  The shifted branch multiplies once
+    # per distinct popped value, ``factor``; equal popped values are
+    # consecutive.  A sub term takes the object of a shifted term of equal
+    # value: the head ``shift`` when one is still to come (the head is then
+    # that value), else ``before``, the shifted value out before the head.
     if not bases:
         yield (1, ())
         return
@@ -241,6 +249,7 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     sub = _merge(bases[:-1])
     _, vec = next(sub)  # value 1, which the shifted branch never reaches
     yield (1, vec + (0,))
+    factor = before = 1
     shift, svec = p, vec + (1,)
     pending: deque[tuple[int, tuple[int, ...]]] = deque()
     append, popleft = pending.append, pending.popleft
@@ -249,8 +258,14 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
             term = (shift, svec)
             append(term)
             yield term
-            shift, svec = popleft()
-            shift, svec = shift * p, svec[:-1] + (svec[-1] + 1,)
+            head, svec = popleft()
+            if head != factor:
+                factor, before, shift = head, shift, head * p
+            svec = svec[:-1] + (svec[-1] + 1,)
+        if value == shift:  # a shifted term of this value is still to come
+            value = shift
+        elif value == before:  # the last shifted term out had this value
+            value = before
         term = (value, vec + (0,))
         append(term)
         yield term
@@ -258,13 +273,28 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         term = (shift, svec)
         append(term)
         yield term
-        shift, svec = popleft()
-        shift, svec = shift * p, svec[:-1] + (svec[-1] + 1,)
+        head, svec = popleft()
+        if head != factor:
+            factor, shift = head, head * p
+        svec = svec[:-1] + (svec[-1] + 1,)
 
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
-    """First ``count`` stream terms as a list; count == 0 gives []."""
-    return list(islice(smooth_iter(bases), _at_least(count, 0, "count")))
+    """First ``count`` stream terms as a list; count == 0 gives [].
+
+    The cyclic garbage collector is paused while the list fills, and left
+    as it was found.  The terms hold no reference cycles, but each is a
+    tuple subclass, which the collector tracks for good, so a long list
+    would otherwise set off full collections that find nothing.
+    """
+    terms = islice(smooth_iter(bases), _at_least(count, 0, "count"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(terms)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _runs(bases: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:

@@ -1,5 +1,6 @@
 """Unit tests for the puzzle engine, planners, search, and replay."""
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -475,6 +476,49 @@ def test_bfs_budget():
     for budget in (0, 2.5):
         with pytest.raises(ParameterError):
             bfs_optimal(PegGraph.complete(3), 2, 1, 3, budget=budget)
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # Garbage in a reference cycle lives until the next full collection, so
+    # a planner's blocks or a search's rows would outlast the call.
+    def refused(call, error):
+        with pytest.raises(error):
+            call()
+
+    plan = plan_complete(3, 12, 1, 3)
+    text = serialize_plan(plan)
+    bad = text.replace("\n1>3\n", "\n3>1\n", 1)  # parses, fails replay
+    assert not validate_plan(parse_plan(bad)).ok
+    listed = MovePlan(plan.graph, 12, 1, 3, list(plan.moves), plan.predicted_length)
+    calls = [
+        lambda: plan_complete(3, 16, 1, 3),
+        lambda: plan_complete(5, 20, 1, 4),
+        lambda: plan_path3(8, 1, 3),
+        lambda: plan_star(3, 8, 2, 4),
+        lambda: serialize_plan(plan_complete(3, 12, 1, 3)),
+        lambda: serialize_plan(listed),
+        lambda: serialize_plan(parse_plan(bad)),
+        lambda: parse_plan(text),
+        lambda: refused(lambda: parse_plan(text.replace("\n1>3\n", "\n1>x\n", 1)), ParseError),
+        lambda: validate_plan(parse_plan(text)),
+        lambda: validate_plan(parse_plan(bad)),
+        lambda: validate_plan(listed),
+        lambda: bfs_optimal(PegGraph.path3(), 11, 1, 3),  # σ swaps 1 and 3
+        lambda: bfs_optimal(PegGraph.complete(4), 7, 1, 4),
+        lambda: bfs_optimal(PegGraph.star(3), 6, 1, 2),  # no σ: 1 is the center
+        lambda: refused(lambda: bfs_optimal(PegGraph.complete(4), 12, 1, 4, budget=1000),
+                        BudgetError),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for index, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, index
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_validate_plan_failure_modes():

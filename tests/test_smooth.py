@@ -1,5 +1,8 @@
 """Unit tests for the stream generator and split-index machinery."""
 
+import gc
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -101,6 +104,43 @@ def test_stream_matches_brute_box(bases, bound):
             break
         got.append((term.value, term.exponents))
     assert got == want
+
+
+def test_stream_leaves_the_collector_as_found():
+    enabled = gc.isenabled()
+    try:
+        for state in (gc.enable, gc.disable):
+            state()
+            assert len(smooth_stream((2, 3), 2000)) == 2000
+            assert gc.isenabled() is (state is gc.enable)
+            with pytest.raises(ParameterError):
+                smooth_stream((2, 3), -1)
+            assert gc.isenabled() is (state is gc.enable)
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_stream_keeps_one_int_per_value():
+    # 50,000 terms of (2, 2) hold 316 distinct values.  An int object per
+    # term peaked at 8.9 MiB; one per value, 6.1 MiB.
+    tracemalloc.start()
+    try:
+        smooth_stream((2, 2), 50000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20, peak
+    # (2, 4) is a dependent pair, and in (4, 2, 2) a run's sub-stream term
+    # comes before a shifted term of the same value (8: (0,3,0) < (1,0,1)).
+    for bases in ((2, 2), (2, 2, 2), (2, 4), (4, 2, 2), (2, 3, 2, 4)):
+        terms = smooth_stream(bases, 20000)
+        assert len({id(t.value) for t in terms}) == len({t.value for t in terms}), bases
+    rng = random.Random(20)
+    for _ in range(30):
+        bases = tuple(rng.choice((2, 2, 3, 4, 6, 8, 9)) for _ in range(rng.randint(1, 4)))
+        terms = smooth_stream(bases, 300)
+        assert [(t.value, t.exponents) for t in terms] == brute_stream(bases, 300), bases
+        assert len({id(t.value) for t in terms}) == len({t.value for t in terms}), bases
 
 
 def test_wide_family_streams():
