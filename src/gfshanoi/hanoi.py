@@ -427,27 +427,7 @@ def bfs_optimal(
         about k**2 / 16 bytes.
         """
         levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
-
-        def fill(c: int) -> tuple:
-            # A loop, not a recursion: a closure that calls itself is a
-            # reference cycle, which would keep ``levels`` until the next
-            # full collection.  Level 0's one row is always there.
-            j = count - 1
-            while levels[j][c % k**j] is None:
-                j -= 1
-            row = levels[j][c % k**j]
-            for j in range(j + 1, count + 1):
-                p = c // k ** (j - 1) % k  # peg p holds disk j, the largest so far
-                pegs, code, moves = row
-                step, bit = k ** (first + j - 1), 1 << p
-                if not pegs & bit:  # it is the top disk there
-                    moves += tuple(((v - p) * step, (bit | 1 << v) if first else 0,
-                                    (sigma[v] - sigma[p]) * step)
-                                   for v in around[p] if not pegs >> v & 1)
-                levels[j][c % k**j] = row = (pegs | bit, code + sigma[p] * step, moves)
-            return row
-
-        return levels[count], fill
+        return levels[count], lambda c: _fill(levels, first, sigma, around, c, count)
 
     base = k**(n // 2)
     small, fill_small = rows(0, n // 2)
@@ -505,6 +485,25 @@ def bfs_optimal(
             return 2 * dist
         frontier = layer
     raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
+
+
+def _fill(levels: list, first: int, sigma: list[int], around, c: int, j: int) -> tuple:
+    """Fill ``levels[j][c]``, the row of half-code ``c`` (see ``bfs_optimal``),
+    and each missing row below it, and return it.
+
+    A closure that called itself would be a reference cycle, which would
+    keep ``levels`` until the next full collection.
+    """
+    k = len(sigma)
+    p, rest = divmod(c, k ** (j - 1))  # peg p holds the largest disk
+    pegs, code, moves = levels[j - 1][rest] or _fill(levels, first, sigma, around, rest, j - 1)
+    step, bit = k ** (first + j - 1), 1 << p
+    if not pegs & bit:  # it is the top disk there
+        moves += tuple(((v - p) * step, (bit | 1 << v) if first else 0,
+                        (sigma[v] - sigma[p]) * step)
+                       for v in around[p] if not pegs >> v & 1)
+    levels[j][c] = row = (pegs | bit, code + sigma[p] * step, moves)
+    return row
 
 
 class ReplayReport(_Fields):
