@@ -269,14 +269,12 @@ def _merge(bases: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         term = (value, vec + (0,))
         append(term)
         yield term
-    while True:
+    while True:  # only on one base: its values, powers of p, are distinct
         term = (shift, svec)
         append(term)
         yield term
-        head, svec = popleft()
-        if head != factor:
-            factor, shift = head, head * p
-        svec = svec[:-1] + (svec[-1] + 1,)
+        shift, svec = popleft()
+        shift, svec = shift * p, svec[:-1] + (svec[-1] + 1,)
 
 
 def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
@@ -285,7 +283,8 @@ def smooth_stream(bases: Sequence[int], count: int) -> list[SmoothTerm]:
     The cyclic garbage collector is paused while the list fills, and left
     as it was found.  The terms hold no reference cycles, but each is a
     tuple subclass, which the collector tracks for good, so a long list
-    would otherwise set off full collections that find nothing.
+    would otherwise set off full collections that find nothing.  The
+    pause holds for the whole process, other threads included.
     """
     terms = islice(smooth_iter(bases), _at_least(count, 0, "count"))
     enabled = gc.isenabled()

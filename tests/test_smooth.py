@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -107,17 +108,29 @@ def test_stream_matches_brute_box(bases, bound):
 
 
 def test_stream_leaves_the_collector_as_found():
+    phases = []
+
+    def record(phase, info):  # a collection that starts inside smooth_stream
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not smooth_stream.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            phases.append(phase)
+
     enabled = gc.isenabled()
+    gc.callbacks.append(record)
     try:
         for state in (gc.enable, gc.disable):
             state()
-            assert len(smooth_stream((2, 3), 2000)) == 2000
+            assert len(smooth_stream((2, 3), 20000)) == 20000
             assert gc.isenabled() is (state is gc.enable)
             with pytest.raises(ParameterError):
                 smooth_stream((2, 3), -1)
             assert gc.isenabled() is (state is gc.enable)
     finally:
+        gc.callbacks.remove(record)
         (gc.enable if enabled else gc.disable)()
+    assert phases == []  # 20,000 tracked terms, and no collection ran
 
 
 def test_stream_keeps_one_int_per_value():
