@@ -17,8 +17,8 @@ import argparse
 import os
 import sys
 from bisect import bisect_right
-from functools import partial
-from itertools import islice
+from functools import cache, partial
+from itertools import islice, repeat
 
 # Each subcommand imports the modules only it needs, so a child compiles
 # (without cached bytecode) and loads no more of the package than it runs.
@@ -138,10 +138,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(payload) -> None:
-    import json  # only JSON output loads it
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
-    print(json.dumps(payload, indent=2))
+
+def _json(value, indent: str = "", quote=None) -> str:
+    """``json.dumps(value, indent=2)`` at ``indent`` for a dict, list or tuple
+    of the payloads printed here: str-keyed dicts, lists and tuples of
+    strings, ints, bools and None.  ``quote`` is json's string encoder.
+
+    json's indenting encoder is a set of closures that refer to each other,
+    cyclic garbage after every call, which in-process callers would hold
+    until a collection.
+    """
+    if quote is None:  # the outermost call; only JSON output loads json
+        from json.encoder import encode_basestring_ascii as quote
+    if isinstance(value, dict):
+        items = value.items()
+        opening, closing = "{", "}"
+    else:
+        items = zip(repeat(None), value)
+        opening, closing = "[", "]"
+    inner = indent + "  "
+    lines = []
+    for key, item in items:
+        head = inner if key is None else f"{inner}{quote(key)}: "
+        if type(item) is str:
+            lines.append(head + quote(item))
+        elif type(item) is int:
+            lines.append(head + int.__repr__(item))
+        elif isinstance(item, (dict, list, tuple)):
+            lines.append(head + _json(item, inner, quote))
+        else:
+            lines.append(head + _JSON_WORDS[item])
+    if not lines:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(lines) + f"\n{indent}{closing}"
 
 
 def _resolve_budget(flag: int | None) -> int:
@@ -200,7 +231,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                         "split": split(n) if split and n else None,
                         "split_source": source if split and n else None}
                        for n in rows]}
-        _print_json(payload)
+        print(_json(payload))
     elif args.format == "csv":
         # csv leaves the fallback column empty; no field ever needs quoting
         print("n,value,diff,split")
@@ -226,7 +257,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         payload = {"bases": list(args.bases), "terms": [
             {"j": j, "value": str(term.value), "exponents": list(term.exponents)}
             for j, term in terms], "splits": marks}
-        _print_json(payload)
+        print(_json(payload))
     elif args.format == "csv":
         ordinals = {m: i for i, m in enumerate(marks or (), start=1)}
         print("j,value,exponents,split")
@@ -277,7 +308,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "failure_index": report.failure_index,
             "failure": report.failure,
         }
-        _print_json(payload)
+        print(_json(payload))
     elif report.ok:
         print(f"pass, {report.moves_applied} moves")
     else:
@@ -295,7 +326,7 @@ def cmd_bfs(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {"graph": graph.name, "n": args.n, "src": args.src,
                    "dst": args.dst, "moves": str(moves)}
-        _print_json(payload)
+        print(_json(payload))
     else:
         print(moves)
     return EXIT_OK
@@ -306,12 +337,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     seed = {} if args.seed is None else {"seed": args.seed}  # run_suite holds the default
     report = run_suite(max_n=args.max_n, **seed)
-    _print_json(report)
+    print(_json(report))
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
+# One parser per process: its parser and actions refer to each other, so a
+# parser built per call would be cyclic garbage that outlives the call.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 from math import comb
+from operator import add
 
 from .smooth import (
     ParameterError,
@@ -36,18 +37,6 @@ from .smooth import (
     _split_bases,
     _split_blocks,
 )
-
-
-def _split_scan(p: int, q: int, row: list[int], below: list[int], n: int) -> tuple[int, int]:
-    """Min over 1 <= t <= n of ``p * row[n-t] + q * below[t]``, and the
-    smallest t attaining it."""
-    best_t = 1
-    best = p * row[n - 1] + q * below[1]
-    for t in range(2, n + 1):
-        cand = p * row[n - t] + q * below[t]
-        if cand < best:
-            best, best_t = cand, t
-    return best, best_t
 
 
 class GfsTable(_Fields):
@@ -74,10 +63,13 @@ class GfsTable(_Fields):
         rows = {3: row}
         for i in range(4, params.k + 1):
             p, q = params.bases[i - 3], params.weights[i - 3]
-            below = rows[i - 1]
-            row = [0] * (n_max + 1)
+            q_below = [q * value for value in rows[i - 1]]
+            row, p_row = [0], [0]  # p_row[m] = p * row[m], grown with the row
             for n in range(1, n_max + 1):
-                row[n] = _split_scan(p, q, row, below, n)[0]
+                # p * row[n-t] + q * below[t] for t = 1..n, summed in C by map
+                value = min(map(add, reversed(p_row), islice(q_below, 1, None)))
+                row.append(value)
+                p_row.append(p * value)
             rows[i] = row
         return cls(params, n_max, rows)
 
@@ -98,7 +90,10 @@ class GfsTable(_Fields):
         """Smallest t attaining the level-i minimum at n (i >= 4)."""
         n, i = self._cell(n, i, 1, 4)
         p, q = self.params.bases[i - 3], self.params.weights[i - 3]
-        return _split_scan(p, q, self.rows[i], self.rows[i - 1], n)[1]
+        row, below = self.rows[i], self.rows[i - 1]
+        # p * row[n-t] + q * below[t] for t = 1..n, summed in C by map
+        sums = list(map(add, map(p.__mul__, reversed(row[:n])), map(q.__mul__, below[1:n + 1])))
+        return sums.index(min(sums)) + 1
 
 
 def gfs_oracle(params: Params, n: int) -> int:

@@ -391,9 +391,12 @@ def bfs_optimal(
     When ``src`` and ``dst`` have the same neighbours apart from each other,
     swapping them (σ) maps edges onto edges and the start onto the goal, so
     a state x lies as far from the goal as σ(x) lies from the start.  The
-    search then stops where the two halves of an optimal path meet, at
-    layer ⌈D/2⌉ of an optimum of D moves; on other graphs it runs until it
-    reaches the goal.  Either way the answer is exact.
+    search then runs from the start alone and stops where the two halves of
+    an optimal path meet, at layer ⌈D/2⌉ of an optimum of D moves.  On
+    other graphs it runs from both ends, one whole layer at a time of the
+    side with the smaller frontier, and stops at the first move that
+    reaches a state the other side has reached.  Either way the answer is
+    exact.
 
     Raises BudgetError when pegs**n exceeds ``budget`` instead of eating
     the memory.
@@ -407,12 +410,10 @@ def bfs_optimal(
     if n >= budget.bit_length() or k**n > budget:
         raise BudgetError(f"{k}**{n} states exceed the budget of {budget}")
     # Breadth-first search by layers (faster techniques: Korf & Felner,
-    # IJCAI 2007).  ``seen``, indexed by code, marks a state of layer r with
-    # 1 + r % 2.  Pegs are 0..k-1 from here on.
+    # IJCAI 2007).  ``seen`` is indexed by code; pegs are 0..k-1 from here on.
     ones = (k**n - 1) // (k - 1)
     start, goal = (src - 1) * ones, (dst - 1) * ones
     seen = bytearray(k**n)
-    seen[start] = 1
     sigma = list(range(k))
     sigma[src - 1], sigma[dst - 1] = dst - 1, src - 1
     around = _Memo(lambda p: [v - 1 for v in graph.neighbours(p + 1)])
@@ -429,17 +430,36 @@ def bfs_optimal(
         levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
         return levels[count], lambda c: _fill(levels, first, sigma, around, c, count)
 
-    base = k**(n // 2)
-    small, fill_small = rows(0, n // 2)
-    large, fill_large = rows(n // 2, n - n // 2)
-    mirrored = set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}
-    # A new state x of layer r with σ(x) in layer r - 1 closes a path of
-    # 2r - 1 moves, and σ(x) in layer r (x itself when σ fixes it) one of
-    # 2r, taken once the layer holds no shorter one.  An optimal path of D
-    # moves meets this way at its midpoint, in layer ⌈D/2⌉, and every
-    # meeting closes a path, so the first one gives D.  A mark from layer
-    # r - 2 or earlier would close a path of at most 2r - 2 moves, which met
-    # before layer r, so a mark's parity is enough.
+    halves = (k**(n // 2), *rows(0, n // 2), *rows(n // 2, n - n // 2))
+    if set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}:
+        dist = _search_mirrored(seen, start, *halves)
+    else:
+        dist = _search_both_ends(seen, start, goal, *halves)
+    if dist is None:
+        raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
+    return dist
+
+
+# The two searches below repeat one loop body twice, once over the small
+# half's moves and once over the large half's: one loop over both rows,
+# testing every move, took 1.3x as long over the benchmark's searches.
+
+def _search_mirrored(seen: bytearray, start: int, base: int, small: list, fill_small,
+                     large: list, fill_large) -> int | None:
+    """The optimum from ``start`` when σ is a symmetry (see ``bfs_optimal``),
+    by layers from the start alone; None when the goal is out of reach.
+
+    ``seen`` marks a state of layer r with 1 + r % 2.  A new state x of
+    layer r with σ(x) in layer r - 1 closes a path of 2r - 1 moves, and
+    σ(x) in layer r (x itself when σ fixes it) one of 2r, taken once the
+    layer holds no shorter one.  An optimal path of D moves meets this way
+    at its midpoint, in layer ⌈D/2⌉, and every meeting closes a path, so
+    the first one gives D.  A mark from layer r - 2 or earlier would close
+    a path of at most 2r - 2 moves, which met before layer r, so a mark's
+    parity is enough.  The goal needs no test of its own: σ maps it onto
+    the start, so reaching it in layer 1 is a meeting with layer 0.
+    """
+    seen[start] = 1
     frontier = [start]
     dist = 0
     mark, before = 1, 2
@@ -453,38 +473,85 @@ def bfs_optimal(
             pegs, mirror, moves = small[low] or fill_small(low)
             _, mirror_high, moves_high = large[high] or fill_large(high)
             mirror += mirror_high
-            # Two copies of one loop body: one loop over both rows, testing
-            # every move, took 1.3x as long over the benchmark's searches.
             for delta, _, mirror_delta in moves:
                 after = code + delta
-                if after == goal:
-                    return dist
                 if not seen[after]:
                     seen[after] = mark
-                    if mirrored:
-                        other = seen[mirror + mirror_delta]
-                        if other == before:
-                            return 2 * dist - 1
-                        met = met or other == mark
+                    other = seen[mirror + mirror_delta]
+                    if other == before:
+                        return 2 * dist - 1
+                    met = met or other == mark
                     layer.append(after)
             for delta, pair, mirror_delta in moves_high:
                 if pair & pegs:  # a small disk sits on one of its two pegs
                     continue
                 after = code + delta
-                if after == goal:
-                    return dist
                 if not seen[after]:
                     seen[after] = mark
-                    if mirrored:
-                        other = seen[mirror + mirror_delta]
-                        if other == before:
-                            return 2 * dist - 1
-                        met = met or other == mark
+                    other = seen[mirror + mirror_delta]
+                    if other == before:
+                        return 2 * dist - 1
+                    met = met or other == mark
                     layer.append(after)
         if met:
             return 2 * dist
         frontier = layer
-    raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
+    return None
+
+
+def _search_both_ends(seen: bytearray, start: int, goal: int, base: int, small: list,
+                      fill_small, large: list, fill_large) -> int | None:
+    """The optimum from ``start`` to ``goal`` by layers from both ends (see
+    ``bfs_optimal``); None when the goal is out of reach.
+
+    ``seen`` marks the states the start side has reached with 1 and those
+    the goal side has reached with 2.  Each round expands one whole layer of
+    the side with the smaller frontier, ties going to the start side.  A
+    move from a state at depth a on one side onto a state the other side
+    reached, at depth at most b, closes a path of at most a + b + 1 moves.
+    No state held both marks before, so every path is longer than a + b
+    moves: the other side's state lies at depth b, and a + b + 1 is the
+    optimum.  Each round adds one to a + b.
+    """
+    seen[start], seen[goal] = 1, 2
+    near, far = [start], [goal]  # the frontier expanded next, and the other
+    mark = 1  # near's
+    # far goes next once near's new layer holds more than ``most`` states:
+    # far's count, less one when far is the start side's.  Only the larger
+    # frontier waits, so far is never empty, and an empty layer ends the search.
+    most = 1
+    reach = 1
+    while near:
+        layer = []
+        for code in near:
+            high, low = divmod(code, base)
+            pegs, _, moves = small[low] or fill_small(low)
+            moves_high = (large[high] or fill_large(high))[2]
+            for delta, _, _ in moves:
+                after = code + delta
+                other = seen[after]
+                if not other:
+                    seen[after] = mark
+                    layer.append(after)
+                elif other != mark:
+                    return reach
+            for delta, pair, _ in moves_high:
+                if pair & pegs:  # a small disk sits on one of its two pegs
+                    continue
+                after = code + delta
+                other = seen[after]
+                if not other:
+                    seen[after] = mark
+                    layer.append(after)
+                elif other != mark:
+                    return reach
+        reach += 1
+        if len(layer) > most:
+            near, far, mark = far, layer, 3 - mark
+            most = len(far) - (mark == 2)  # a tie goes to the start side
+        else:
+            near = layer
+    return None
 
 
 def _fill(levels: list, first: int, sigma: list[int], around, c: int, j: int) -> tuple:

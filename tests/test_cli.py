@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import ast
+import gc
 import hashlib
 import io
 import json
@@ -413,6 +414,37 @@ def test_verify_quick(capsys):
     assert payload["ok"] is True
     assert payload["seed"] == verify_mod.DEFAULT_SEED
     assert all(check["failures"] == 0 for check in payload["checks"])
+
+
+def test_main_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # In-process callers hold cyclic garbage until the next collection.  One
+    # parser serves every call (its parser and actions refer to each other),
+    # and JSON is written without json's indenting encoder, whose closures
+    # refer to each other, in the bytes that encoder writes.
+    plan_file = tmp_path / "k4.plan"
+    plan_file.write_text(run(capsys, "plan", "--graph", "K4", "--n", "6", "--src", "1",
+                             "--dst", "4")[1], encoding="utf-8")
+    calls = [
+        ["compute", "--pq", "2:1", "--pq", "2:1", "--n", "0..12", "--splits", "--format", "json"],
+        ["sequence", "--bases", "2,3", "--count", "12", "--splits", "--format", "json"],
+        ["plan", "--graph", "K4", "--n", "6", "--src", "1", "--dst", "4"],
+        ["validate", str(plan_file), "--format", "json"],
+        ["bfs", "--graph", "P3", "--n", "4", "--src", "1", "--dst", "2", "--format", "json"],
+        ["verify", "--max-n", "2"],
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in calls:
+            run(capsys, *argv)  # loads the modules the subcommand imports
+            gc.collect()
+            code, out, _ = run(capsys, *argv)
+            assert (code, gc.collect()) == (0, 0), argv[0]
+            if argv[0] != "plan":
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", argv[0]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):

@@ -403,6 +403,18 @@ def test_bfs_agrees_with_planners_where_they_are_optimal():
             plan_complete(4, n, 1, 4).moves)
 
 
+def test_bfs_searches_from_both_ends_without_the_swap():
+    # A middle endpoint of P3 has no σ.  The search from an end has one
+    # state a layer, and the one from the middle two, so the end's side is
+    # expanded whether it holds the start or the goal.
+    p3 = PegGraph.path3()
+    for n in range(9):
+        for src, dst in ((1, 2), (2, 1), (3, 2), (2, 3)):
+            assert bfs_optimal(p3, n, src, dst) == (3**n - 1) // 2, (n, src, dst)
+    # The star's center to a leaf, over 4**10 states.
+    assert bfs_optimal(PegGraph.star(3), 10, 1, 2) == 120
+
+
 def test_bfs_never_beats_star_bound_and_matches_small_cases():
     for n in range(1, 5):
         best = bfs_optimal(PegGraph.star(3), n, 2, 3)
