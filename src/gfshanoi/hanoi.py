@@ -457,7 +457,8 @@ def _search_mirrored(seen: bytearray, start: int, base: int, small: list, fill_s
     the first one gives D.  A mark from layer r - 2 or earlier would close
     a path of at most 2r - 2 moves, which met before layer r, so a mark's
     parity is enough.  The goal needs no test of its own: σ maps it onto
-    the start, so reaching it in layer 1 is a meeting with layer 0.
+    the start, so reaching it in layer 1 meets layer 0, and past D = 1 the
+    halves meet in an earlier layer than the goal's.
     """
     seen[start] = 1
     frontier = [start]
@@ -506,12 +507,12 @@ def _search_both_ends(seen: bytearray, start: int, goal: int, base: int, small: 
 
     ``seen`` marks the states the start side has reached with 1 and those
     the goal side has reached with 2.  Each round expands one whole layer of
-    the side with the smaller frontier, ties going to the start side.  A
-    move from a state at depth a on one side onto a state the other side
-    reached, at depth at most b, closes a path of at most a + b + 1 moves.
-    No state held both marks before, so every path is longer than a + b
-    moves: the other side's state lies at depth b, and a + b + 1 is the
-    optimum.  Each round adds one to a + b.
+    the side with the smaller frontier, ties going to the start side.  With
+    the two frontiers at depths a and b, a move from the expanded one onto
+    a state the other side reached closes a path of at most a + b + 1
+    moves.  No state held both marks before, so every path is longer than
+    a + b moves: the other side's state lies at depth b, and a + b + 1 is
+    the optimum.  Each round adds one to a + b.
     """
     seen[start], seen[goal] = 1, 2
     near, far = [start], [goal]  # the frontier expanded next, and the other
