@@ -430,11 +430,12 @@ def bfs_optimal(
         levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
         return levels[count], lambda c: _fill(levels, first, sigma, around, c, count)
 
-    halves = (k**(n // 2), *rows(0, n // 2), *rows(n // 2, n - n // 2))
+    # The code base of the large half, then each half's rows and filler.
+    tables = (k**(n // 2), *rows(0, n // 2), *rows(n // 2, n - n // 2))
     if set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}:
-        dist = _search_mirrored(seen, start, *halves)
+        dist = _search_mirrored(seen, start, *tables)
     else:
-        dist = _search_both_ends(seen, start, goal, *halves)
+        dist = _search_both_ends(seen, start, goal, *tables)
     if dist is None:
         raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
     return dist
@@ -518,8 +519,9 @@ def _search_both_ends(seen: bytearray, start: int, goal: int, base: int, small: 
     near, far = [start], [goal]  # the frontier expanded next, and the other
     mark = 1  # near's
     # far goes next once near's new layer holds more than ``most`` states:
-    # far's count, less one when far is the start side's.  Only the larger
-    # frontier waits, so far is never empty, and an empty layer ends the search.
+    # far's count, less one when far is the start side's.  A layer becomes
+    # far only by holding more than ``most`` >= 0 states, so far is never
+    # empty, and the search ends when near's new layer is.
     most = 1
     reach = 1
     while near:
