@@ -84,6 +84,9 @@ _parse_bases = _arg_type(lambda text: tuple(map(_decimal, text.split(","))),
 _nonneg_int = _arg_type(_decimal, "a nonnegative integer")
 
 
+# One parser per process: its parser and actions refer to each other, so a
+# parser built per call would be cyclic garbage that outlives the call.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gfshanoi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -341,13 +344,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
-# One parser per process: its parser and actions refer to each other, so a
-# parser built per call would be cyclic garbage that outlives the call.
-_parser = cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

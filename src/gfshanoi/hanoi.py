@@ -52,10 +52,10 @@ Move = namedtuple("Move", ("from_peg", "to_peg"))
 
 
 def __getattr__(name: str):
-    # The names this module once imported from gfs stay readable here, and
-    # load gfs on first use: perfbench's tracer wraps hanoi.gfs_fast and
-    # hanoi.optimal_split by name.  The planners read them from gfs.
-    if name in ("classic_params", "gfs_fast", "optimal_split"):
+    # perfbench's tracer wraps hanoi.gfs_fast and hanoi.optimal_split by
+    # name, so those two stay readable here and load gfs on first use.  The
+    # planners read them from gfs.
+    if name in ("gfs_fast", "optimal_split"):
         from . import gfs
 
         globals()[name] = value = getattr(gfs, name)
@@ -97,9 +97,7 @@ class PegGraph(_FrozenFields):
                 and (v in self.around[u] if self.hub is None else self.hub in (0, u, v)))
 
     @classmethod
-    def from_edges(
-        cls, pegs: int, pairs: Iterable[tuple[int, int]], name: str | None = None
-    ) -> "PegGraph":
+    def from_edges(cls, pegs: int, pairs: Iterable[tuple[int, int]]) -> "PegGraph":
         pegs = _at_least(pegs, 2, "peg count")
         around: list[set[int]] = [set() for _ in range(pegs + 1)]
         for u, v in pairs:
@@ -120,9 +118,8 @@ class PegGraph(_FrozenFields):
             reach = set().union(*(around[w] for w in reach)) - seen
         if len(seen) != pegs:
             raise ParameterError("the peg graph must be connected")
-        if name is None:
-            name = "edges:" + ",".join(f"{u}-{v}" for u in range(1, pegs + 1)
-                                       for v in sorted(around[u]) if u < v)
+        name = "edges:" + ",".join(f"{u}-{v}" for u in range(1, pegs + 1)
+                                   for v in sorted(around[u]) if u < v)
         return cls(pegs, name, None, tuple(map(frozenset, around)))
 
     @classmethod
@@ -598,28 +595,25 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     """
     graph = plan.graph
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
-    # Edges and labels are judged once per distinct move, so the replay
-    # tests only the disks, up to the first move that is no edge.
     labels = plan._labels(255)
     if labels is None:
-        moves = plan.moves
-        count = len(moves)
-        # Move(1.0, 3) == Move(1, 3) and set() keeps the first of equal
-        # moves: when that one is no edge, no later equal move is reached,
-        # and when it is, a later 1.0 fails to index ``top``.
-        bad = {move for move in set(moves) if not graph.has_edge(*move)}
-        stop = next(i for i, move in enumerate(moves) if move in bad) if bad else count
+        keys = moves = plan.moves
         move_at = moves.__getitem__
     else:  # codes hash as cached one-character strings, not as tuples
-        codes = plan._codes[1]
-        count = len(codes)
+        keys = plan._codes[1]
         # Labels below 256 fit a byte, so they iterate as ints with no lookup
-        # per move.  A code stands for one move, judged at its first place.
+        # per move.
         froms, tos = (side.encode("latin-1") for side in labels)
-        stop = min((i for i in map(codes.index, set(codes))
-                    if not graph.has_edge(froms[i], tos[i])), default=count)
         move_at = lambda i: (froms[i], tos[i])  # noqa: E731
         moves = zip(froms, tos)
+    count = len(keys)
+    # Edges and labels are judged once per distinct move, at its first place,
+    # so the replay tests only the disks, up to the first move that is no
+    # edge.  Move(1.0, 3) == Move(1, 3): when the first of equal moves is no
+    # edge, no later one is reached, and when it is, a later 1.0 fails to
+    # index ``top``.
+    stop = min((i for i in map(keys.index, set(keys)) if not graph.has_edge(*move_at(i))),
+               default=count)
     # Disk d moves only after d - 1 earlier moves, so disks past count + 1
     # never move; the one extra stays on src and fails the final check
     # whenever src != dst.  A bare peg's top is ``bare``, larger than every

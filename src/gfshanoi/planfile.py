@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .hanoi import Move, MovePlan, PegGraph, _Memo
-from .smooth import _DECIMAL_RE, ParseError, _decimal  # noqa: F401  (_decimal's old home)
+from .smooth import _DECIMAL_RE, ParseError
 
 HEADER_MAGIC = "hanoi-plan v1"
 _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
@@ -145,22 +145,22 @@ def _body_codes(text: str, start: int, pegs: int) -> str | None:
 
 
 def parse_plan(text: str) -> MovePlan:
-    end = text.find("\n")
-    if end > 0:  # a header line that is not blank: the body may be read as codes
-        graph, n, src, dst, predicted = _header(text[:end])
-        codes = _body_codes(text, end + 1, graph.pegs)
-        if codes is not None:
-            return MovePlan._from_codes(graph, n, src, dst, codes, predicted)
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text.lstrip("\n"):
         raise ParseError("empty plan file")
-    graph, n, src, dst, predicted = _header(lines[0])
+    # The body is read in place, from ``start``: a copy of a long plan's text
+    # would add its size to the parser's peak.
+    end = text.find("\n")
+    head, start = (text, len(text)) if end < 0 else (text[:end], end + 1)
+    graph, n, src, dst, predicted = _header(head)
+    codes = _body_codes(text, start, graph.pegs)
+    if codes is not None:
+        return MovePlan._from_codes(graph, n, src, dst, codes, predicted)
+    body = text[start:].split("\n")
+    while body and body[-1] == "":
+        body.pop()
 
     # A plan repeats a few distinct lines, so each one is matched once; the
     # first line in file order that is no move is the one reported.
-    body = lines[1:]
     move_of: dict[str, Move] = {}
     for line in set(body):
         m = _MOVE_RE.match(line.strip())

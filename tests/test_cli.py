@@ -621,8 +621,8 @@ def test_every_export_is_the_object_its_module_defines():
     # Names that moved keep their old homes, as the same objects; hanoi's
     # names from gfs load gfs on first use.
     moved = [("hanoi", "smooth", ("BudgetError", "DEFAULT_STATE_BUDGET")),
-             ("hanoi", "gfs", ("classic_params", "gfs_fast", "optimal_split")),
-             ("planfile", "smooth", ("ParseError", "_decimal"))]
+             ("hanoi", "gfs", ("gfs_fast", "optimal_split")),
+             ("planfile", "smooth", ("ParseError",))]
     for old, new, names in moved:
         for name in names:
             assert getattr(getattr(gfshanoi, old), name) is getattr(getattr(gfshanoi, new), name)

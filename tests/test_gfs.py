@@ -124,14 +124,30 @@ def test_optimal_split_goldens():
 
 
 def test_optimal_split_attains_minimum():
-    for params in (classic_params(4), classic_params(5), Params((3, 2), (2, 1))):
-        table = GfsTable.build(params, 40)
-        below = GfsTable.build(Params(params.bases[:-1], params.weights[:-1]), 40)
+    # The split points that attain the level-k minimum form one run of
+    # consecutive t; optimal_split returns its largest, the table's argmin
+    # its smallest.  Classic K4 at n = 2 has both t = 1 and t = 2.
+    rng = random.Random(14)
+    families = [classic_params(4), classic_params(5), Params((3, 2), (2, 1))]
+    for _ in range(150):
+        width = rng.randint(2, 4)
+        families.append(Params(tuple(rng.randint(2, 5) for _ in range(width)),
+                               tuple(rng.randint(1, 3) for _ in range(width))))
+    ties = 0
+    for params in families:
+        table = GfsTable.build(params, 50)
         p, q = params.bases[-1], params.weights[-1]
-        for n in range(1, 41):
-            t = optimal_split(params, n)
-            assert 1 <= t <= n
-            assert p * table.value(n - t) + q * below.value(t) == table.value(n)
+        for n in range(1, 51):
+            sums = [p * table.value(n - t) + q * table.value(t, i=params.k - 1)
+                    for t in range(1, n + 1)]
+            best = [t for t, total in enumerate(sums, start=1) if total == table.value(n)]
+            assert best == list(range(best[0], best[-1] + 1)), (params, n)
+            assert optimal_split(params, n) == best[-1], (params, n)
+            assert table.argmin_split(n) == best[0], (params, n)
+            ties += len(best) > 1
+    assert optimal_split(classic_params(4), 2) == 2
+    assert GfsTable.build(classic_params(4), 2).argmin_split(2) == 1
+    assert ties > 1000  # ties are common, so both ends are pinned
 
 
 def test_table_argmin_matches_value():

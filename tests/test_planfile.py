@@ -134,6 +134,34 @@ def test_equal_moves_share_one_text():
         assert serialize_plan(MovePlan(graph, 1, 1, 3, order, 3)).split("\n", 1)[1] == body
 
 
+@pytest.mark.parametrize("name", ["K10", "K12", "S9", "S11"])
+def test_wide_code_plans_replay_as_their_moves(name):
+    # Past 9 pegs a planner's plan is still replayed from its codes, but it
+    # is written, and read back, as a Move list.  Reading ``moves`` drops a
+    # plan's codes, so the hand-built list comes from a second planner call.
+    size = int(name[1:])
+    planner, pegs = (plan_complete, size) if name[0] == "K" else (plan_star, size + 1)
+    for n in range(1, 7):
+        for src, dst in ((2, pegs), (pegs, 3), (3, 2)):  # leaves of a star
+            other = next(peg for peg in range(1, pegs + 1) if peg not in (src, dst))
+            for edit in (None, "predicted", "dst"):
+                coded = planner(size, n, src, dst)
+                listed = planner(size, n, src, dst)
+                listed = MovePlan(listed.graph, n, src, dst, list(listed.moves),
+                                  listed.predicted_length)
+                parsed = parse_plan(serialize_plan(planner(size, n, src, dst)))
+                assert coded._codes is not None and parsed._codes is None
+                plans = (coded, listed, parsed)
+                for plan in plans:
+                    if edit == "predicted":
+                        plan.predicted_length += 1
+                    elif edit == "dst":
+                        plan.dst = other
+                report = validate_plan(coded)
+                assert report.ok is (edit is None)
+                assert [validate_plan(plan) for plan in plans] == [report] * 3
+
+
 def test_plans_hold_one_move_per_edge():
     # 65,535 moves: one Move each would take about 4.5 MB, and the list of
     # them 0.5 MB.  Reading ``moves`` builds the list from the codes.
