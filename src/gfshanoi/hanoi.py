@@ -601,8 +601,7 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
         move_at = moves.__getitem__
     else:  # codes hash as cached one-character strings, not as tuples
         keys = plan._codes[1]
-        # Labels below 256 fit a byte, so they iterate as ints with no lookup
-        # per move.
+        # Labels below 256 fit a byte, so they iterate as ints with no lookup per move.
         froms, tos = (side.encode("latin-1") for side in labels)
         move_at = lambda i: (froms[i], tos[i])  # noqa: E731
         moves = zip(froms, tos)
