@@ -598,21 +598,22 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     labels = plan._labels(255)
     if labels is None:
         keys = moves = plan.moves
-        move_at = moves.__getitem__
+        move_of = tuple  # a move is its own pair of labels
     else:  # codes hash as cached one-character strings, not as tuples
-        keys = plan._codes[1]
+        pegs, keys = plan._codes
+        arcs = _LABEL_TABLES[pegs, 0]
+        move_of = lambda code: (arcs[0][ord(code)], arcs[1][ord(code)])  # noqa: E731
         # Labels below 256 fit a byte, so they iterate as ints with no lookup per move.
-        froms, tos = (side.encode("latin-1") for side in labels)
-        move_at = lambda i: (froms[i], tos[i])  # noqa: E731
-        moves = zip(froms, tos)
+        moves = zip(*(side.encode("latin-1") for side in labels))
     count = len(keys)
-    # Edges and labels are judged once per distinct move, at its first place,
-    # so the replay tests only the disks, up to the first move that is no
-    # edge.  Move(1.0, 3) == Move(1, 3): when the first of equal moves is no
-    # edge, no later one is reached, and when it is, a later 1.0 fails to
-    # index ``top``.
-    stop = min((i for i in map(keys.index, set(keys)) if not graph.has_edge(*move_at(i))),
-               default=count)
+    # Edges and labels are judged once per distinct move, so the replay tests
+    # only the disks, up to the first move that is no edge.  Only that move's
+    # place is looked up, so many distinct moves that are no edge cost one
+    # pass.  Move(1.0, 3) == Move(1, 3), and set() and dict.fromkeys() keep
+    # the first of equal moves: when that one is no edge, no later one is
+    # reached, and when it is, a later 1.0 fails to index ``top``.
+    bad = {key for key in set(keys) if not graph.has_edge(*move_of(key))}
+    stop = keys.index(next(filter(bad.__contains__, dict.fromkeys(keys)))) if bad else count
     # Disk d moves only after d - 1 earlier moves, so disks past count + 1
     # never move; the one extra stays on src and fails the final check
     # whenever src != dst.  A bare peg's top is ``bare``, larger than every
@@ -641,7 +642,7 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
         return ReplayReport(False, index, plan.predicted_length, index,
                             f"move {index} ({u}>{v}): {failure}")
     if stop < count:
-        u, v = move_at(stop)
+        u, v = move_of(keys[stop])
         return ReplayReport(False, stop, plan.predicted_length, stop,
                             f"move {stop} ({u}>{v}): not-an-edge: no edge {u}-{v} in {graph.name}")
     failure = None

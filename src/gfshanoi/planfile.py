@@ -147,15 +147,16 @@ def _body_codes(text: str, start: int, pegs: int) -> str | None:
 def parse_plan(text: str) -> MovePlan:
     if not text.lstrip("\n"):
         raise ParseError("empty plan file")
-    # The body is read in place, from ``start``: a copy of a long plan's text
-    # would add its size to the parser's peak.
+    # Neither reader copies the body out of ``text``: a copy of a long plan's
+    # text would add its size to the parser's peak.
     end = text.find("\n")
     head, start = (text, len(text)) if end < 0 else (text[:end], end + 1)
     graph, n, src, dst, predicted = _header(head)
     codes = _body_codes(text, start, graph.pegs)
     if codes is not None:
         return MovePlan._from_codes(graph, n, src, dst, codes, predicted)
-    body = text[start:].split("\n")
+    body = text.split("\n")
+    del body[0]  # the header
     while body and body[-1] == "":
         body.pop()
 

@@ -148,6 +148,34 @@ def test_replay_refuses_labels_that_only_equal_a_peg():
             validate_plan(MovePlan(k3, 2, 1, 3, moves, 2))
 
 
+class _CountedMove(tuple):
+    """A move that counts the times it is compared for equality."""
+
+    compares = 0
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        _CountedMove.compares += 1
+        return tuple.__eq__(self, other)
+
+
+def test_replay_looks_up_only_the_first_bad_move():
+    # Many distinct moves that are no edge: only the first has its place
+    # looked up, so no move is compared once per earlier move.
+    k3 = PegGraph.complete(3)
+    count = 2000
+    moves = [_CountedMove((1, 10 + i)) for i in range(count)]
+    _CountedMove.compares = 0
+    report = validate_plan(MovePlan(k3, 2, 1, 3, moves, count))
+    assert (report.ok, report.failure_index, report.failure) == (
+        False, 0, "move 0 (1>10): not-an-edge: no edge 1-10 in K3")
+    assert _CountedMove.compares < count
+    # The same moves as a file: labels past K3's pegs send it to the line reader.
+    text = "".join(f"{u}>{v}\n" for u, v in moves)
+    report = validate_plan(parse_plan(serialize_plan(MovePlan(k3, 2, 1, 3, [], count)) + text))
+    assert (report.ok, report.failure_index) == (False, 0)
+
+
 def _replay_model(graph, n, src, dst, moves):
     """Replay on a disk -> peg list: the (failure_index, failure) that
     ``validate_plan`` reports for a plan of the right length, and the moves
