@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from bisect import bisect_right
@@ -350,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The command runs with the collector paused, as in smooth_stream: the
+    # package makes no reference cycles, so a collection would find nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.run(args)
         sys.stdout.flush()
@@ -367,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ParameterError, UnsupportedRegimeError and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

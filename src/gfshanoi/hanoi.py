@@ -148,7 +148,8 @@ class MovePlan(_Fields):
     ``moves`` is then built on first read, one ``Move`` per distinct code.
     Once ``moves`` is read or assigned, the list is the plan and the codes
     are dropped, so ``serialize_plan`` and ``validate_plan`` read codes only
-    while they are the truth.
+    while they are the truth.  This module turns codes into peg labels and
+    ``Move``s; ``planfile`` alone turns them into a file's text and back.
     """
 
     __slots__ = ("graph", "n", "src", "dst", "_moves", "predicted_length", "_codes")
@@ -175,7 +176,7 @@ class MovePlan(_Fields):
     def moves(self) -> list[Move]:
         if self._codes is not None:
             pegs, codes = self._codes
-            froms, tos = _LABEL_TABLES[pegs, 0]
+            froms, tos = _LABEL_TABLES[pegs]
             arcs = _Memo(lambda code: Move(froms[ord(code)], tos[ord(code)]))
             self._moves, self._codes = list(map(arcs.__getitem__, codes)), None
         return self._moves
@@ -183,16 +184,6 @@ class MovePlan(_Fields):
     @moves.setter
     def moves(self, moves: list[Move]) -> None:
         self._moves, self._codes = moves, None
-
-    def _labels(self, most: int, zero: int = 0) -> tuple[str, str] | None:
-        """The labels of the moves' from pegs and to pegs, one character
-        ``chr(zero + peg)`` a move, while the plan holds codes on at most
-        ``most`` pegs; else None."""
-        if self._codes is None or self._codes[0] > most:
-            return None
-        pegs, codes = self._codes
-        froms, tos = _LABEL_TABLES[pegs, zero]
-        return codes.translate(froms), codes.translate(tos)
 
 
 def _label(peg: int) -> int:
@@ -242,15 +233,10 @@ class _Memo(dict):
         return value
 
 
-def _label_tables(key: tuple[int, int]) -> tuple[_Memo, _Memo]:
-    """``str.translate`` tables from a code among ``pegs`` pegs to its from
-    peg and to its to peg, each as ``chr(zero + peg)``."""
-    pegs, zero = key
-    return (_Memo(lambda point: zero + point // pegs + 1),
-            _Memo(lambda point: zero + point % pegs + 1))
-
-
-_LABEL_TABLES = _Memo(_label_tables)  # by (pegs, zero), each filled as codes appear
+# By peg count: tables from a code to its from peg and to its to peg, for
+# ``str.translate`` and for lookup by ``ord``, each filled as codes appear.
+_LABEL_TABLES = _Memo(lambda pegs: (_Memo(lambda point: point // pegs + 1),
+                                    _Memo(lambda point: point % pegs + 1)))
 
 
 def _plan(graph: PegGraph, n: int, src: int, dst: int, family, choose_park) -> MovePlan:
@@ -595,16 +581,16 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     """
     graph = plan.graph
     n, src, dst = _check_instance(graph, plan.n, plan.src, plan.dst)
-    labels = plan._labels(255)
-    if labels is None:
-        keys = moves = plan.moves
-        move_of = tuple  # a move is its own pair of labels
+    if plan._codes is None or plan._codes[0] > 255:
+        keys, move_of = plan.moves, tuple  # a move is its own pair of labels
+        moves = rest = iter(keys)
     else:  # codes hash as cached one-character strings, not as tuples
         pegs, keys = plan._codes
-        arcs = _LABEL_TABLES[pegs, 0]
-        move_of = lambda code: (arcs[0][ord(code)], arcs[1][ord(code)])  # noqa: E731
+        froms, tos = _LABEL_TABLES[pegs]
+        move_of = lambda code: (froms[ord(code)], tos[ord(code)])  # noqa: E731
         # Labels below 256 fit a byte, so they iterate as ints with no lookup per move.
-        moves = zip(*(side.encode("latin-1") for side in labels))
+        rest = iter(keys.translate(froms).encode("latin-1"))
+        moves = zip(rest, keys.translate(tos).encode("latin-1"))
     count = len(keys)
     # Edges and labels are judged once per distinct move, so the replay tests
     # only the disks, up to the first move that is no edge.  Only that move's
@@ -623,11 +609,12 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
     top = [bare] * (graph.pegs + 1)
     top[src] = 1
     below = list(range(1, held + 2))  # disk d on d + 1, the largest on bare
-    for index, (u, v) in enumerate(islice(moves, stop)):
+    # A failed move's place is the count less the moves ``rest`` still holds.
+    for u, v in moves if stop == count else islice(moves, stop):
         try:
             disk, onto = top[u], top[v]
         except (TypeError, IndexError):  # equal to a peg label without being one
-            stop = index
+            stop = count - operator.length_hint(rest) - 1
             break
         if disk < onto:
             top[u] = below[disk]
@@ -639,6 +626,7 @@ def validate_plan(plan: MovePlan) -> ReplayReport:
         else:
             failure = (f"larger-on-smaller: disk {disk} cannot sit on "
                        f"smaller disk {onto} at peg {v}")
+        index = count - operator.length_hint(rest) - 1
         return ReplayReport(False, index, plan.predicted_length, index,
                             f"move {index} ({u}>{v}): {failure}")
     if stop < count:

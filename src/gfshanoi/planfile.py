@@ -16,14 +16,15 @@ longer header number, peg count, edge label or graph size is a
 ``ParseError`` that names its field and digit count.  Trailing blank
 lines are tolerated; anything else is a ``ParseError``.
 
-A plan of at most 9 pegs has one-digit labels, so each of its lines is
-four characters.  A plan that holds move codes (see ``MovePlan``) is
-written from them, four bytes a move by slice assignment; and a body made
-only of ``u>v`` lines with labels 1..k and a final newline is read straight
-into codes, with no string per line.  Any other plan is written from its
-``Move`` list, formatting each distinct move once, and any other body is
-read line by line, matching each distinct line once; there the first line
-in file order that is no move is the one reported.
+A plan of at most 9 pegs has one-digit labels, so each of its lines is four
+characters.  Only this module turns text into move codes (see ``MovePlan``)
+and back; ``hanoi`` turns codes into labels and ``Move``s.  A plan that
+holds codes is written from them, four bytes a move by slice assignment;
+and a body made only of ``u>v`` lines with labels 1..k and a final newline
+is read straight into codes, with no string per line.  Any other plan is
+written from its ``Move`` list, formatting each distinct move once, and any
+other body is read line by line, matching each distinct line once; there
+the first line in file order that is no move is the one reported.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ _HEADER_KEYS = ("graph", "k", "n", "src", "dst", "predicted")
 _MOVE_RE = re.compile(r"^([0-9]+)>([0-9]+)$")
 _NAMED_RE = re.compile(r"^(P3|K([0-9]+)|S([0-9]+))$")
 _EDGE_LIST_RE = re.compile(r"^edges:([0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)$")
-# bytes.translate tables per peg count k <= 9, built on first use, that read
-# digit d as (d - 1) * k and as d - 1, with 255 for any byte that is no label
-# 1..k: the two parts of a move code.
-_LABELS = _Memo(lambda k: tuple(
-    bytes(scale * (byte - 49) if 49 <= byte < 49 + k else 255 for byte in range(256))
-    for scale in (k, 1)))
+# bytes.translate tables per peg count k <= 9, built on first use.  The
+# reader's two read digit d as (d - 1) * k and as d - 1, the two parts of a
+# move code, with 255 for any byte that is no label 1..k; the writer's two
+# write code c as the digits of its from peg c // k + 1 and to peg c % k + 1.
+_LABELS = _Memo(lambda k: (
+    *(bytes(scale * (byte - 49) if 49 <= byte < 49 + k else 255 for byte in range(256))
+      for scale in (k, 1)),
+    bytes(49 + code // k for code in range(256)),
+    bytes(49 + code % k for code in range(256))))
 
 
 def _limited(digits: str, what: str) -> int:
@@ -107,16 +111,16 @@ def serialize_plan(plan: MovePlan) -> str:
         f"{HEADER_MAGIC}; graph={plan.graph.name}; k={plan.graph.pegs}; "
         f"n={plan.n}; src={plan.src}; dst={plan.dst}; predicted={plan.predicted_length}"
     )
-    labels = plan._labels(9, ord("0"))
-    if labels is not None:  # one digit a label
+    if plan._codes is not None and plan._codes[0] <= 9:  # one digit a label
+        _, _, froms, tos = _LABELS[plan._codes[0]]
+        codes = plan._codes[1].encode()
         head = (header + "\n").encode()
-        froms, tos = (side.encode() for side in labels)
-        start, count = len(head), len(froms)
+        start, count = len(head), len(codes)
         out = bytearray(start + 4 * count)
         out[:start] = head
-        out[start::4] = froms
+        out[start::4] = codes.translate(froms)
         out[start + 1::4] = b">" * count
-        out[start + 2::4] = tos
+        out[start + 2::4] = codes.translate(tos)
         out[start + 3::4] = b"\n" * count
         return out.decode()
     # Moves that compare equal share the text of the first one written.
@@ -133,7 +137,7 @@ def _body_codes(text: str, start: int, pegs: int) -> str | None:
         return None
     if text[start + 1::4].count(">") != count or text[start + 3::4].count("\n") != count:
         return None
-    rows, cols = _LABELS[pegs]
+    rows, cols, _, _ = _LABELS[pegs]
     high = text[start::4].encode().translate(rows)
     low = text[start + 2::4].encode().translate(cols)
     if 255 in high or 255 in low:

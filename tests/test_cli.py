@@ -447,6 +447,23 @@ def test_main_leaves_no_cyclic_garbage(tmp_path, capsys):
             gc.enable()
 
 
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    calls = [
+        (0, ["sequence", "--bases", "2,3", "--count", "100", "--format", "json"]),
+        (1, ["plan", "--graph", "S3", "--n", "2", "--src", "1", "--dst", "3"]),
+        (4, ["plan", "--graph", "Q3", "--n", "2", "--src", "1", "--dst", "3"]),
+    ]
+    enabled = gc.isenabled()
+    try:
+        for start in (True, False):
+            for code, argv in calls:
+                (gc.enable if start else gc.disable)()
+                assert run(capsys, *argv)[0] == code, argv
+                assert gc.isenabled() is start, (start, argv)
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_verify_reports_injected_fault(capsys, monkeypatch):
     def sabotage(rng, cap):
         result = verify_mod.CheckResult("sabotage")

@@ -140,6 +140,10 @@ def test_replay_refuses_labels_that_only_equal_a_peg():
         report = validate_plan(MovePlan(k3, 2, 1, 3, moves, 3))
         assert (report.ok, report.failure_index, report.failure) == (
             False, index, f"move {index} ({shown}): not-an-edge: no edge {edge} in K3")
+    # The first of the equal moves 1>3 and 1.0>3 is an edge, so the second
+    # is judged only when it fails to index the pile tops.
+    assert validate_plan(MovePlan(k3, 2, 1, 3, [Move(1, 3), Move(1.0, 3)], 3)) == ReplayReport(
+        False, 1, 3, 1, "move 1 (1.0>3): not-an-edge: no edge 1.0-3 in K3")
     assert validate_plan(MovePlan(k3, 1, 1, 3, [Move(True, 3)], 1)).ok
     assert validate_plan(MovePlan(k3, 2, 1, 3, [Move(1, 2), Move(True, 3), Move(2, 3)], 3)).ok
     # A move that cannot be hashed is no move: a TypeError, as from set().

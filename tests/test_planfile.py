@@ -134,6 +134,17 @@ def test_equal_moves_share_one_text():
         assert serialize_plan(MovePlan(graph, 1, 1, 3, order, 3)).split("\n", 1)[1] == body
 
 
+def test_every_code_writes_its_line_and_reads_back():
+    # The writer's and the reader's tables agree on every code of 2..9
+    # pegs, self-loops included: replay, not the file, judges the moves.
+    for k in range(2, 10):
+        codes = "".join(map(chr, range(k * k)))
+        text = serialize_plan(MovePlan._from_codes(PegGraph.complete(k), 1, 1, 2, codes, 1))
+        assert text.split("\n", 1)[1] == "".join(
+            f"{c // k + 1}>{c % k + 1}\n" for c in range(k * k))
+        assert parse_plan(text)._codes == (k, codes)
+
+
 @pytest.mark.parametrize("name", ["K10", "K12", "S9", "S11"])
 def test_wide_code_plans_replay_as_their_moves(name):
     # Past 9 pegs a planner's plan is still replayed from its codes, but it
