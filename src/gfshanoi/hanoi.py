@@ -8,7 +8,8 @@ the smallest), or one past the largest disk when the peg is bare, and
 source's top is smaller than its target's.  Search holds a state as one int,
 its base-k code, whose digit d-1 names disk d's peg - 1, and reads its moves
 from two tables of rows, one per half of the disks, filled as the search
-reaches them.
+reaches them.  On three pegs it visits only the large half's positions, each
+with the small half piled on one peg.
 
 Planners cover the complete graph K_k, the three-peg path 1 - 2 - 3, and
 stars with center 1.  All three run one park / cross / unpark recursion
@@ -358,7 +359,7 @@ def plan_star(k: int, n: int, src: int, dst: int) -> MovePlan:
 def bfs_optimal(
     graph: PegGraph, n: int, src: int, dst: int, budget: int = DEFAULT_STATE_BUDGET
 ) -> int:
-    """Exact minimum move count by breadth-first search over all states.
+    """Exact minimum move count by exhaustive search over the states.
 
     A state is its base-k code, an int whose digit d - 1 names disk d's
     peg - 1 (disk 1 is the smallest).  A disk's legal moves depend only on
@@ -381,8 +382,19 @@ def bfs_optimal(
     reaches a state the other side has reached.  Either way the answer is
     exact.
 
+    Three pegs need neither: a large disk moves between u and v only while
+    every small disk sits on the third peg, and small moves never depend on
+    where the large disks are.  So every path alternates single large moves
+    with small-half stretches from one pile to another, each of which costs
+    at least the small half's optimum between those piles, and takes
+    exactly that when played optimally.  The optimum is then a shortest
+    path, by Dijkstra's search, over (large half's code, peg of the small
+    pile): 3 * 3**(n - n // 2) nodes in place of 3**n states.  The three
+    pile-to-pile optima of the n // 2 small disks come from the same search
+    on those disks, down to none.
+
     Raises BudgetError when pegs**n exceeds ``budget`` instead of eating
-    the memory.
+    the memory; the budget counts states on three pegs too.
     """
     budget = _at_least(budget, 1, "budget")
     n, src, dst = _check_instance(graph, n, src, dst)
@@ -392,33 +404,24 @@ def bfs_optimal(
     # k >= 2, so n >= budget.bit_length() already means k**n > budget.
     if n >= budget.bit_length() or k**n > budget:
         raise BudgetError(f"{k}**{n} states exceed the budget of {budget}")
-    # Breadth-first search by layers (faster techniques: Korf & Felner,
-    # IJCAI 2007).  ``seen`` is indexed by code; pegs are 0..k-1 from here on.
-    ones = (k**n - 1) // (k - 1)
-    start, goal = (src - 1) * ones, (dst - 1) * ones
-    seen = bytearray(k**n)
-    sigma = list(range(k))
-    sigma[src - 1], sigma[dst - 1] = dst - 1, src - 1
     around = _Memo(lambda p: [v - 1 for v in graph.neighbours(p + 1)])
-
-    def rows(first: int, count: int):
-        """The rows of disks first+1..first+count, by half-code, and their filler.
-
-        Level j holds one slot per half-code of the half's j smallest disks:
-        its row, or None until first use.  Deltas are in whole codes.  The
-        half from disk 1 has no smaller disks to block its moves, so its
-        two-peg masks are 0: at n = 1, a k-bit mask per move would take
-        about k**2 / 16 bytes.
-        """
-        levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
-        return levels[count], lambda c: _fill(levels, first, sigma, around, c, count)
-
-    # The code base of the large half, then each half's rows and filler.
-    tables = (k**(n // 2), *rows(0, n // 2), *rows(n // 2, n - n // 2))
-    if set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}:
-        dist = _search_mirrored(seen, start, *tables)
+    if k == 3:
+        (dist,) = _pile_costs(around, n, ((src - 1, dst - 1),))
     else:
-        dist = _search_both_ends(seen, start, goal, *tables)
+        # Breadth-first search by layers (faster techniques: Korf & Felner,
+        # IJCAI 2007).  ``seen`` is indexed by code; pegs are 0..k-1 from here on.
+        ones = (k**n - 1) // (k - 1)
+        start, goal = (src - 1) * ones, (dst - 1) * ones
+        seen = bytearray(k**n)
+        sigma = list(range(k))
+        sigma[src - 1], sigma[dst - 1] = dst - 1, src - 1
+        # The code base of the large half, then each half's rows and filler.
+        tables = (k**(n // 2), *_rows(0, n // 2, sigma, around),
+                  *_rows(n // 2, n - n // 2, sigma, around))
+        if set(graph.neighbours(src)) - {dst} == set(graph.neighbours(dst)) - {src}:
+            dist = _search_mirrored(seen, start, *tables)
+        else:
+            dist = _search_both_ends(seen, start, goal, *tables)
     if dist is None:
         raise ParameterError(f"no move sequence reaches peg {dst} on {graph.name}")
     return dist
@@ -538,6 +541,86 @@ def _search_both_ends(seen: bytearray, start: int, goal: int, base: int, small: 
         else:
             near = layer
     return None
+
+
+def _pile_costs(around, m: int, pairs=((0, 1), (0, 2), (1, 2))) -> list[int]:
+    """The fewest moves that take a pile of m disks from peg a to peg b of a
+    three-peg graph (pegs 0..2, neighbours in ``around``), for each (a, b)
+    of ``pairs``; see ``bfs_optimal``."""
+    if not m:
+        return [0] * len(pairs)
+    costs = [[0] * 3 for _ in range(3)]  # of the m // 2 smallest disks
+    # Moves reverse, so a pile costs the same both ways.
+    for (a, b), cost in zip(((0, 1), (0, 2), (1, 2)), _pile_costs(around, m // 2)):
+        costs[a][b] = costs[b][a] = cost
+    # No σ here: range(3) leaves each row's σ-code equal to its code, unread.
+    rows = _rows(m // 2, m - m // 2, range(3), around)
+    return [_search_piles(m, costs, *rows, a, b) for a, b in pairs]
+
+
+def _search_piles(m: int, costs: list[list[int]], large: list, fill_large,
+                  src: int, dst: int) -> int | None:
+    """The fewest moves that take a pile of m disks from peg ``src`` to peg
+    ``dst`` of a three-peg graph, with ``costs[g][h]`` the fewest that take
+    its m // 2 smallest disks from a pile on g to one on h, and ``large``
+    the rows of the rest; None when no move sequence does.
+
+    Dijkstra's search over nodes 3 * h + g: the large half's half-code h
+    with the small pile on peg g.  Each node steps to the same h with the
+    pile on another peg, at that pile's cost, and by each large-half move
+    whose two pegs leave g out, at one move (at m = 1 no small disk exists
+    and every mask is 0).  No state lies ``3**m`` moves, the number of
+    states, from another, so that marks a node not reached.
+    """
+    # Imported here, so a CLI child that searches no three-peg graph skips it.
+    from heapq import heappop, heappush
+
+    low = m // 2
+    base = 3**low  # the large half's deltas are in whole codes: multiples of base
+    ones = 3 * (3 ** (m - low) - 1) // 2  # the node step of one peg for every large disk
+    start, goal = src * ones + src, dst * ones + dst
+    size = 3 * 3 ** (m - low)
+    best = [3**m] * size
+    best[start] = 0
+    # The pile's other pegs, as node steps and their costs.
+    shifts = [[(peg - pile, cost) for peg, cost in enumerate(row) if peg != pile]
+              for pile, row in enumerate(costs)]
+    heap = [start]  # dist * size + node: ints compare faster than pairs
+    while heap:
+        dist, node = divmod(heappop(heap), size)
+        if dist > best[node]:  # a longer path pushed before a shorter one
+            continue
+        if node == goal:
+            return dist
+        high, pile = divmod(node, 3)
+        after_dist = dist + 1
+        for delta, pair, _ in (large[high] or fill_large(high))[2]:
+            if pair >> pile & 1:  # the small pile sits on one of its two pegs
+                continue
+            after = node + 3 * delta // base
+            if after_dist < best[after]:
+                best[after] = after_dist
+                heappush(heap, after_dist * size + after)
+        for shift, cost in shifts[pile]:
+            after, after_dist = node + shift, dist + cost
+            if after_dist < best[after]:
+                best[after] = after_dist
+                heappush(heap, after_dist * size + after)
+    return None
+
+
+def _rows(first: int, count: int, sigma, around) -> tuple:
+    """The rows of disks first+1..first+count, by half-code, and their filler.
+
+    Level j holds one slot per half-code of the half's j smallest disks:
+    its row, or None until first use.  Deltas are in whole codes.  The half
+    from disk 1 has no smaller disks to block its moves, so its two-peg
+    masks are 0: at n = 1, a k-bit mask per move would take about k**2 / 16
+    bytes.
+    """
+    k = len(sigma)
+    levels = [[(0, 0, ())]] + [[None] * k**j for j in range(1, count + 1)]
+    return levels[count], lambda c: _fill(levels, first, sigma, around, c, count)
 
 
 def _fill(levels: list, first: int, sigma: list[int], around, c: int, j: int) -> tuple:

@@ -3,6 +3,9 @@
 import gc
 import hashlib
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations, product
 
@@ -436,15 +439,60 @@ def test_bfs_agrees_with_planners_where_they_are_optimal():
 
 
 def test_bfs_searches_from_both_ends_without_the_swap():
-    # A middle endpoint of P3 has no σ.  The search from an end has one
-    # state a layer, and the one from the middle two, so the end's side is
-    # expanded whether it holds the start or the goal.
-    p3 = PegGraph.path3()
-    for n in range(9):
+    # The star's center to a leaf has no σ; over 4**10 states.
+    assert bfs_optimal(PegGraph.star(3), 10, 1, 2) == 120
+
+
+THREE_PEG_GRAPHS = (PegGraph.complete(3), PegGraph.path3(), PegGraph.star(2),
+                    PegGraph.from_edges(3, [(1, 3), (3, 2)]),
+                    PegGraph.from_edges(3, [(1, 2), (1, 3)]))
+
+
+def test_three_peg_search_matches_the_oracle():
+    # Every connected three-peg graph is K3 or a path, with any middle.  The
+    # search splits at n // 2 at every level: n = 1 leaves the small half
+    # empty, and odd and even n split unevenly and evenly.
+    for graph in THREE_PEG_GRAPHS:
+        edges = sorted(graph.edges)
+        for src, dst in product(range(1, 4), repeat=2):
+            for n in range(8):
+                best = brute_hanoi_distance(3, edges, n, src, dst)
+                assert bfs_optimal(graph, n, src, dst) == best, (graph.name, n, src, dst)
+
+
+def test_three_peg_search_meets_the_closed_forms():
+    k3, p3 = PegGraph.complete(3), PegGraph.path3()
+    for n in range(15):
+        for src, dst in permutations(range(1, 4), 2):
+            assert bfs_optimal(k3, n, src, dst) == 2**n - 1, (n, src, dst)
+        for src, dst in ((1, 3), (3, 1)):
+            assert bfs_optimal(p3, n, src, dst) == 3**n - 1, (n, src, dst)
         for src, dst in ((1, 2), (2, 1), (3, 2), (2, 3)):
             assert bfs_optimal(p3, n, src, dst) == (3**n - 1) // 2, (n, src, dst)
-    # The star's center to a leaf, over 4**10 states.
-    assert bfs_optimal(PegGraph.star(3), 10, 1, 2) == 120
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_three_peg_search_holds_the_large_half_only():
+    # At n = 20 a mark per state would take 3**20 bytes, 3.5 GB; the search
+    # holds 3 * 3**10 distances and the large half's rows.  tracemalloc
+    # slows these searches about 20-fold, so a child runs them in 256 MB of
+    # address space and reports its own peak resident set.
+    script = (
+        "import resource\n"
+        "from gfshanoi.hanoi import PegGraph, bfs_optimal\n"
+        "print(bfs_optimal(PegGraph.path3(), 20, 1, 3, 3**20),"
+        " bfs_optimal(PegGraph.complete(3), 20, 1, 2, 3**20),"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert proc.stderr == ""
+    p3, k3, peak_kb = map(int, proc.stdout.split())
+    assert (p3, k3) == (3**20 - 1, 2**20 - 1)
+    assert peak_kb < 64 << 10
 
 
 def test_bfs_never_beats_star_bound_and_matches_small_cases():
@@ -485,7 +533,8 @@ def test_bfs_matches_the_oracle():
                         bfs_optimal(graph, n, src, dst)
                     continue
                 assert bfs_optimal(graph, n, src, dst) == best, (graph.name, n, src, dst)
-                kinds.add((_swap_is_a_symmetry(edges, src, dst), best % 2))
+                if graph.pegs >= 4 and src != dst and n:  # the two layer searches
+                    kinds.add((_swap_is_a_symmetry(edges, src, dst), best % 2))
     # Odd and even optima, with and without the src/dst swap symmetry.
     assert kinds == set(product((False, True), (0, 1)))
     # One move (n = 1, adjacent pegs), and an even optimum whose only
